@@ -242,11 +242,19 @@ impl Replay {
 }
 
 /// Closed loop: sends each request only after the previous reply arrived,
-/// returning the round-trip time of each in µs, with the replies.
-pub fn closed_loop(server: Server, lines: &[String]) -> io::Result<(Vec<f64>, Vec<String>)> {
+/// returning the round-trip time of each in µs, the replies, and whether
+/// client and server shared one CPU.
+///
+/// They share one if the host lets this process set CPU affinities: each
+/// hand-over is then a context switch on a running CPU.  On separate CPUs
+/// every request and every reply wakes a halted vCPU, which on a shared VM
+/// costs a few microseconds when the host is calm and far more when it is
+/// busy, and the round trip would measure that.
+pub fn closed_loop(server: Server, lines: &[String]) -> io::Result<(Vec<f64>, Vec<String>, bool)> {
     let mut server = server;
     let mut stdin = server.stdin.take().expect("started server");
     let mut stdout = server.stdout.take().expect("started server");
+    let pinned = OneCpu::share(server.child.id()).ok();
     let mut rtts = Vec::with_capacity(lines.len());
     let mut replies = Vec::with_capacity(lines.len());
     let mut reply = String::new();
@@ -262,12 +270,62 @@ pub fn closed_loop(server: Server, lines: &[String]) -> io::Result<(Vec<f64>, Ve
         rtts.push(start.elapsed().as_secs_f64() * 1e6);
         replies.push(reply.trim_end().to_owned());
     }
+    let shared = pinned.is_some();
+    drop(pinned);
     stdin.write_all(b"QUIT\n")?;
     drop(stdin);
     let mut rest = String::new();
     while stdout.read_line(&mut rest)? > 0 {}
     server.child.wait()?;
-    Ok((rtts, replies))
+    Ok((rtts, replies, shared))
+}
+
+// The C library's CPU affinity calls; a CPU set is 1024 bits.
+extern "C" {
+    fn sched_getaffinity(pid: i32, size: usize, mask: *mut u64) -> i32;
+    fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
+}
+
+type CpuSet = [u64; 16];
+
+/// This thread and one other process confined to one CPU; dropping it
+/// gives this thread its CPUs back.
+struct OneCpu(CpuSet);
+
+impl OneCpu {
+    /// Confines this thread and process `pid` to the lowest CPU this
+    /// thread may use.
+    fn share(pid: u32) -> io::Result<OneCpu> {
+        let mut saved: CpuSet = [0; 16];
+        // SAFETY: `saved` is a writable buffer of the size passed.
+        if unsafe { sched_getaffinity(0, size_of::<CpuSet>(), saved.as_mut_ptr()) } != 0 {
+            return Err(io::Error::last_os_error());
+        }
+        let word = saved
+            .iter()
+            .position(|&bits| bits != 0)
+            .ok_or_else(|| io::Error::other("empty CPU set"))?;
+        let mut one: CpuSet = [0; 16];
+        one[word] = saved[word] & saved[word].wrapping_neg();
+        set_affinity(pid as i32, &one)?;
+        let guard = OneCpu(saved);
+        set_affinity(0, &one)?;
+        Ok(guard)
+    }
+}
+
+impl Drop for OneCpu {
+    fn drop(&mut self) {
+        let _ = set_affinity(0, &self.0);
+    }
+}
+
+fn set_affinity(pid: i32, set: &CpuSet) -> io::Result<()> {
+    // SAFETY: `set` is a readable buffer of the size passed.
+    if unsafe { sched_setaffinity(pid, size_of::<CpuSet>(), set.as_ptr()) } != 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
 }
 
 /// `VmHWM` (peak resident memory) from a `/proc/<pid>/status` file, in

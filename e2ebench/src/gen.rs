@@ -59,6 +59,38 @@ impl Rng {
     }
 }
 
+/// The heavy workloads' tenant draw: rounds in which every tenant gets
+/// one request, each round in a seeded order, so every seed sends each
+/// tenant the same share of the stream.  Request cost grows with tenant
+/// size (200–1000 components), so latency percentiles fall between the
+/// tenants' modes, and an independent draw per request moved the p50 by
+/// a tenth from seed to seed with the shares.
+#[derive(Debug, Clone)]
+struct TenantRounds {
+    order: Vec<usize>,
+    next: usize,
+}
+
+impl TenantRounds {
+    fn new(tenants: usize) -> Self {
+        TenantRounds {
+            order: (0..tenants).collect(),
+            next: tenants,
+        }
+    }
+
+    fn draw(&mut self, rng: &mut Rng) -> usize {
+        if self.next == self.order.len() {
+            for last in (1..self.order.len()).rev() {
+                self.order.swap(last, rng.index(last + 1));
+            }
+            self.next = 0;
+        }
+        self.next += 1;
+        self.order[self.next - 1]
+    }
+}
+
 /// One periodic component: cost, relative deadline, period (ticks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Comp {
@@ -323,7 +355,10 @@ pub fn light_mixed(seed: u64, ops: usize) -> Scenario {
         shape: ServiceShape {
             flags: vec!["--work-rate".into(), "100".into()],
             nominal_rps: 20_000.0,
-            limit_us: 10_000.0,
+            // As on the heavy workloads: the hypervisor of a shared host
+            // preempts a vCPU for 10–30 ms now and then, and a 10 ms
+            // limit measured those preemptions.
+            limit_us: 50_000.0,
             ladder: Ladder {
                 low: 5_000.0,
                 factor: 1.06,
@@ -414,28 +449,37 @@ fn heavy_probe(rng: &mut Rng, range: (f64, f64)) -> Comp {
 /// `heavy_whatif`: eight heavy tenants, 90 % WHATIF with 4 % ADMIT,
 /// 4 % EVICT and 2 % STAT, exact mode, no `SYNC`.  As in `light_mixed`,
 /// admissions are predicted with QPA so every EVICT names a live id.
+/// EVICTs remove components the stream admitted (a WHATIF is sent
+/// instead while a tenant has none): evicting preloaded components, of
+/// up to 0.45 % each, moved a tenant's utilisation by a percent or two
+/// over a run, and since the exact test's effort grows like 1 / (1 − U),
+/// latency then followed the seed by a tenth.
 pub fn heavy_whatif(seed: u64, ops: usize) -> Scenario {
     const TENANTS: usize = 8;
     let (preload, mut next_id) = number(heavy_tenants(&mut Rng::new(HEAVY_FLEET), TENANTS));
     let mut rng = Rng::new(seed ^ 0x4845_4156_5900);
     let mut state = preload.clone();
+    let mut admitted: Vec<Vec<u64>> = vec![Vec::new(); TENANTS];
+    let mut rounds = TenantRounds::new(TENANTS);
     let stream = (0..ops)
         .map(|_| {
-            let tenant = rng.index(TENANTS);
+            let tenant = rounds.draw(&mut rng);
             let roll = rng.range(0, 99);
             if roll < 4 {
                 let comp = heavy_probe(&mut rng, CHURN_U);
                 let fits = qpa_feasible(state[tenant].iter().map(|(_, c)| c).chain([&comp]));
                 if fits == Some(true) {
                     state[tenant].push((next_id, comp));
+                    admitted[tenant].push(next_id);
                     next_id += 1;
                 }
                 Op::Admit { tenant, comp }
-            } else if roll < 8 {
-                let index = rng.index(state[tenant].len());
-                let (id, _) = state[tenant].remove(index);
+            } else if (4..8).contains(&roll) && !admitted[tenant].is_empty() {
+                let pick = rng.index(admitted[tenant].len());
+                let id = admitted[tenant].swap_remove(pick);
+                state[tenant].retain(|&(live, _)| live != id);
                 Op::Evict { tenant, id }
-            } else if roll < 10 {
+            } else if (8..10).contains(&roll) {
                 Op::Stat { tenant }
             } else {
                 Op::WhatIf {
@@ -485,12 +529,13 @@ pub fn budget_shed(seed: u64, ops: usize) -> Scenario {
     let (preload, _) = number(heavy_tenants(&mut Rng::new(SHED_FLEET), TENANTS));
     let mut rng = Rng::new(seed ^ 0x5348_4544_0000);
     let mut evictable = preload.clone();
+    let mut rounds = TenantRounds::new(TENANTS);
     let mut stream = Vec::with_capacity(ops + ops / SWITCH_EVERY + 1);
     for index in 0..ops {
         if index % SWITCH_EVERY == 0 {
             stream.push(Op::ModeUnits(SHED_UNITS[(index / SWITCH_EVERY) % 2]));
         }
-        let tenant = rng.index(TENANTS);
+        let tenant = rounds.draw(&mut rng);
         let roll = rng.range(0, 99);
         stream.push(if roll < 4 {
             Op::Admit {

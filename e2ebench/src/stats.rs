@@ -49,42 +49,71 @@ impl Ladder {
     pub fn rung(&self, index: usize) -> f64 {
         self.low * self.factor.powi(index as i32)
     }
+}
 
-    /// Bisection for the highest rung `probe` passes (`probe` returns the
-    /// verdict and the latency it judged).  A failed probe is tried once
-    /// more, since a shared host's slow spells only ever make a probe
-    /// fail.  Returns the rate (half the lowest rung if none passes, so
-    /// the metric is never 0) and the probes as JSON.
-    pub fn search(
-        &self,
-        mut probe: impl FnMut(f64) -> std::io::Result<(bool, f64)>,
-    ) -> std::io::Result<(f64, String)> {
-        let mut log = Vec::new();
-        let (mut lo, mut hi) = (-1i64, self.rungs as i64);
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            let rate = self.rung(mid as usize);
-            let mut pass = false;
-            for _ in 0..2 {
-                let (ok, latency) = probe(rate)?;
-                log.push(format!("[{rate:.1}, {latency:.1}, {ok}]"));
-                if ok {
-                    pass = true;
-                    break;
-                }
-            }
-            if pass {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
+/// An up-down staircase over a [`Ladder`] for the rate at which a probe
+/// passes half the time: it starts at the rung nearest a first estimate
+/// and moves one rung up after each pass and one down after each fail.
+/// The callers spread its [`STAIRCASE_PROBES`] probes over their run.
+///
+/// A bisection run in one stretch judged each rung once, so one slow
+/// spell of a shared host (the server's speed moves by a quarter between
+/// seconds, for seconds) put its answer three rungs off; spread out, a
+/// spell fails a probe or two, and the estimate averages over many
+/// probes near the boundary.
+#[derive(Debug, Clone)]
+pub struct Staircase {
+    ladder: Ladder,
+    rung: i64,
+    /// (rate, judged latency, passed) of each probe so far.
+    probes: Vec<(f64, f64, bool)>,
+}
+
+/// Probes of one [`Staircase`], and how many of the first are left out
+/// of its estimate while it walks from the first estimate to the
+/// boundary.
+pub const STAIRCASE_PROBES: usize = 16;
+const STAIRCASE_SKIPPED: usize = 4;
+
+impl Staircase {
+    pub fn new(ladder: Ladder, start: f64) -> Staircase {
+        let nearest = ((start / ladder.low).ln() / ladder.factor.ln()).round() as i64;
+        Staircase {
+            ladder,
+            rung: nearest.clamp(0, ladder.rungs as i64 - 1),
+            probes: Vec::new(),
         }
-        let rate = if lo >= 0 {
-            self.rung(lo as usize)
-        } else {
-            self.low / 2.0
-        };
-        Ok((rate, format!("[{}]", log.join(", "))))
+    }
+
+    /// The rate to probe next.
+    pub fn rate(&self) -> f64 {
+        self.ladder.rung(self.rung as usize)
+    }
+
+    /// Records the verdict (and the latency it judged) of a probe at
+    /// [`Staircase::rate`] and moves one rung.
+    pub fn record(&mut self, passed: bool, latency: f64) {
+        self.probes.push((self.rate(), latency, passed));
+        let step = if passed { 1 } else { -1 };
+        self.rung = (self.rung + step).clamp(0, self.ladder.rungs as i64 - 1);
+    }
+
+    /// The geometric mean of the rates probed after the first
+    /// [`STAIRCASE_SKIPPED`].
+    pub fn estimate(&self) -> f64 {
+        let kept = &self.probes[STAIRCASE_SKIPPED.min(self.probes.len() - 1)..];
+        let log_sum: f64 = kept.iter().map(|(rate, _, _)| rate.ln()).sum();
+        (log_sum / kept.len() as f64).exp()
+    }
+
+    /// The probes as a JSON list of `[rate, latency, passed]`.
+    pub fn to_json(&self) -> String {
+        let probes: Vec<String> = self
+            .probes
+            .iter()
+            .map(|(rate, latency, passed)| format!("[{rate:.1}, {latency:.1}, {passed}]"))
+            .collect();
+        format!("[{}]", probes.join(", "))
     }
 }
 

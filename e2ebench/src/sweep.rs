@@ -15,22 +15,23 @@ use edf_model::TaskSet;
 use crate::client::peak_rss_mb;
 use crate::gen::sweep_population;
 use crate::stats::{
-    fnv1a, host_speed, median, quantile, windowed, Ladder, Metrics, FNV_OFFSET, LATENCY_WINDOW,
+    fnv1a, host_speed, median, quantile, windowed, Ladder, Metrics, Staircase, FNV_OFFSET,
+    LATENCY_WINDOW, STAIRCASE_PROBES,
 };
 use crate::trace::Tracer;
 use crate::Outcome;
 
 /// Task sets per utilisation point (70–99 %, 30 points) and per period
 /// ratio (10, 10², 10³, 10⁴), at a run length of 10 s.
-const PER_UTIL: usize = 40;
-const PER_RATIO: usize = 150;
+const PER_UTIL: usize = 80;
+const PER_RATIO: usize = 300;
 /// Latency limit on p90 for the open-loop runs, and their nominal rate.
 const LIMIT_US: f64 = 50_000.0;
 const NOMINAL_RPS: f64 = 1_000.0;
 const LADDER: Ladder = Ladder {
     low: 100.0,
     factor: 1.06,
-    rungs: 72,
+    rungs: 96,
 };
 
 /// Metric-name stems of the five tests, in the order they run.
@@ -82,8 +83,11 @@ fn population(seed: u64, seconds: f64) -> Vec<TaskSet> {
 /// Open loop in-process: set `i` is due at `i / rate`; sets are analysed
 /// in order, and each latency runs from due time to the end of its
 /// analysis.  Returns latencies and, for each set that found the thread
-/// idle, how late it started after its due time (the timer's lateness).
-fn open_loop(sets: &[TaskSet], count: usize, rate: f64) -> (Vec<f64>, Vec<f64>) {
+/// idle, how late it started after its due time.  The thread spins until
+/// a set is due rather than sleeping: a sleeping thread's vCPU halts, and
+/// on a shared host waking it took milliseconds often enough to fail
+/// probes at rates the thread could sustain.
+fn open_loop(sets: &[TaskSet], first: usize, count: usize, rate: f64) -> (Vec<f64>, Vec<f64>) {
     let tests = tests();
     let mut scratch = AnalysisScratch::new();
     let mut latencies = Vec::with_capacity(count);
@@ -91,12 +95,14 @@ fn open_loop(sets: &[TaskSet], count: usize, rate: f64) -> (Vec<f64>, Vec<f64>) 
     let t0 = Instant::now();
     for index in 0..count {
         let due = Duration::from_secs_f64(index as f64 / rate);
-        let now = t0.elapsed();
-        if now < due {
-            std::thread::sleep(due - now);
+        if t0.elapsed() < due {
+            while t0.elapsed() < due {
+                std::hint::spin_loop();
+            }
             late.push(t0.elapsed().saturating_sub(due).as_secs_f64() * 1e6);
         }
-        std::hint::black_box(analyse(&tests, &sets[index % sets.len()], &mut scratch));
+        let set = &sets[(first + index) % sets.len()];
+        std::hint::black_box(analyse(&tests, set, &mut scratch));
         latencies.push((t0.elapsed().saturating_sub(due)).as_secs_f64() * 1e6);
     }
     (latencies, late)
@@ -127,7 +133,6 @@ pub fn run(seed: u64, seconds: f64) -> Outcome {
     let mut pass = |first: bool| {
         speed.push(host_speed());
         let mut times = Vec::with_capacity(sets.len());
-        let start = Instant::now();
         for set in &sets {
             let begin = Instant::now();
             let analyses = analyse(&tests, set, &mut scratch);
@@ -140,49 +145,71 @@ pub fn run(seed: u64, seconds: f64) -> Outcome {
                 }
             }
         }
-        throughput.push(sets.len() as f64 / start.elapsed().as_secs_f64());
         attempted += sets.len();
+        // Sets per second in each of 32 windows of the pass: as on the
+        // service workloads, a slow spell of the host lowers the windows
+        // it falls in, and the median over windows stays put.  Short
+        // windows also keep the few sets that cost milliseconds (processor
+        // demand at ratio 10⁴), whose number moves with the seed, from
+        // setting the figure.
+        let size = (times.len() / 32).max(1);
+        let rates: Vec<f64> = times
+            .chunks_exact(size)
+            .map(|window| window.len() as f64 / (window.iter().sum::<f64>() / 1e6))
+            .collect();
         per_set.push(times);
+        rates
     };
 
     let mut latencies = Vec::new();
     let mut late = Vec::new();
-    let mut open_loop = |count: usize, rate: f64| {
-        let (these, slept) = open_loop(&sets, count, rate);
+    let mut open_loop = |first: usize, count: usize, rate: f64| {
+        let (these, slept) = open_loop(&sets, first, count, rate);
         late.extend(slept);
         these
     };
     let nominal = ((NOMINAL_RPS * seconds * 0.1) as usize).max(1);
 
-    pass(true);
-    latencies.push(open_loop(nominal, NOMINAL_RPS));
-    pass(false);
-    let probe_secs = seconds * 0.04;
+    throughput.extend(pass(true));
+    latencies.push(open_loop(0, nominal, NOMINAL_RPS));
+    throughput.extend(pass(false));
+    // The rate staircase's probes, in four stages spread over the rest of
+    // the run between the remaining passes and open-loop runs.  Each probe
+    // takes the sets after the last probe's, so that together they cover
+    // the population: probes of its first sets only judged how costly
+    // those happened to be for the seed.
+    let probe_secs = seconds * 0.02;
     let mut probed = 0usize;
-    let (max_rate, probes) = LADDER
-        .search(|rate| {
+    let mut staircase = Staircase::new(LADDER, median(&throughput));
+    for stage in 0..4 {
+        for _ in 0..STAIRCASE_PROBES / 4 {
+            let rate = staircase.rate();
             let count = ((rate * probe_secs) as usize).max(1);
+            let these = open_loop(probed, count, rate);
             probed += count;
-            let these = open_loop(count, rate);
             let tail = quantile(&these[these.len() - these.len().min(LATENCY_WINDOW)..], 0.5);
             let p90 = windowed(&[these], 0.9);
-            Ok((p90 <= LIMIT_US && tail <= LIMIT_US, p90))
-        })
-        .expect("in-process probes do not fail");
-    for _ in 0..2 {
-        pass(false);
-        latencies.push(open_loop(nominal, NOMINAL_RPS));
+            staircase.record(p90 <= LIMIT_US && tail <= LIMIT_US, p90);
+        }
+        if stage < 3 {
+            throughput.extend(pass(false));
+        }
+        if stage < 2 {
+            latencies.push(open_loop(0, nominal, NOMINAL_RPS));
+        }
     }
-    pass(false);
+    let max_rate = staircase.estimate();
+    let probes = staircase.to_json();
     attempted += probed + latencies.iter().map(Vec::len).sum::<usize>();
 
     let sent: usize = latencies.iter().map(Vec::len).sum();
-    let slo_miss_share = latencies
-        .iter()
-        .flatten()
-        .filter(|&&l| l > LIMIT_US)
-        .count() as f64
-        / sent as f64;
+    // A median over the open-loop runs, as on the service workloads.
+    let slo_miss_share = median(
+        &latencies
+            .iter()
+            .map(|run| run.iter().filter(|&&l| l > LIMIT_US).count() as f64 / run.len() as f64)
+            .collect::<Vec<_>>(),
+    );
     let error_share = failed as f64 / attempted as f64;
     let per_pass = |q: f64| {
         median(
@@ -224,7 +251,7 @@ pub fn run(seed: u64, seconds: f64) -> Outcome {
         ("latency_limit_us".to_owned(), LIMIT_US.to_string()),
         ("nominal_rps".to_owned(), NOMINAL_RPS.to_string()),
         ("population_sets".to_owned(), sets.len().to_string()),
-        ("samples.ops_per_s".to_owned(), format!("{throughput:?}")),
+        ("samples.ops_per_s".to_owned(), throughput.len().to_string()),
         (
             "samples.per_set".to_owned(),
             format!("\"{} passes of {}\"", per_set.len(), sets.len()),
