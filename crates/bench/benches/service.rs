@@ -1,9 +1,8 @@
 //! Benchmark of the `edf-serve` admission-control service: the cost of one
 //! admission decision through the [`EditView`] delta path (structural
 //! edit, deadline-order repair, in-place kernel rebuild, bounds refresh)
-//! versus a cold re-preparation of the edited component list, the batched
-//! what-if throughput across independent tenants, and the budgeted
-//! anytime lane.
+//! versus a cold re-preparation of the edited component list, and the
+//! budgeted anytime lane.
 //!
 //! Both decision paths run the identical all-approximated exact analysis,
 //! so the `whatif_*` gap is pure preparation overhead — exactly what an
@@ -109,47 +108,6 @@ fn bench_admission_paths(c: &mut Criterion) {
     group.finish();
 }
 
-/// Throughput of a 32-tenant what-if wave: the batched entry point fans
-/// the finalized views across the cores, the sequential series answers
-/// the same requests one by one on one core.  (On a single-CPU host the
-/// batch engine falls back to serial execution, so the two series only
-/// separate on multi-core machines.)
-fn bench_batched_throughput(c: &mut Criterion) {
-    let mut group = c.benchmark_group("service_batch");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
-
-    const TENANTS: usize = 32;
-    let names: Vec<String> = (0..TENANTS)
-        .map(|index| format!("tenant-{index}"))
-        .collect();
-    let mut service = AdmissionService::new();
-    for (index, name) in names.iter().enumerate() {
-        let base = tenant_base(100, index % 4);
-        service
-            .register_tenant(name, &PreparedWorkload::from_components(base))
-            .expect("valid fixture base");
-        service.what_if(name, probe()).expect("valid probe");
-    }
-    let requests: Vec<(&str, DemandComponent)> =
-        names.iter().map(|name| (name.as_str(), probe())).collect();
-
-    group.bench_function(BenchmarkId::new("whatif_many", TENANTS), |b| {
-        b.iter(|| black_box(service.what_if_many(&requests)).len())
-    });
-    group.bench_function(BenchmarkId::new("whatif_sequential", TENANTS), |b| {
-        b.iter(|| {
-            requests
-                .iter()
-                .map(|&(tenant, component)| black_box(service.what_if(tenant, component)))
-                .count()
-        })
-    });
-    group.finish();
-}
-
 /// The budgeted anytime lanes against the exact lane on the same tenant:
 /// a generous budget escalates capped levels until the (identical)
 /// decisive verdict, a zero budget answers immediately with `Unknown`.
@@ -204,10 +162,5 @@ fn bench_budgeted(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_admission_paths,
-    bench_batched_throughput,
-    bench_budgeted
-);
+criterion_group!(benches, bench_admission_paths, bench_budgeted);
 criterion_main!(benches);

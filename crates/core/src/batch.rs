@@ -239,75 +239,6 @@ pub fn analyze_many_serial_budgeted<W: Workload>(
         .collect()
 }
 
-/// Runs every prepared workload through every test, in parallel — the
-/// variant for callers that already hold prepared workloads (e.g. to run
-/// several suites over one preparation).  One scratch arena per worker.
-///
-/// Generic over ownership: accepts owned preparations
-/// (`&[PreparedWorkload]`) as well as borrowed ones
-/// (`&[&PreparedWorkload]`) — the admission service batches what-if
-/// requests by collecting one borrowed preparation per tenant view
-/// without cloning any of them.
-#[must_use]
-pub fn analyze_many_prepared<P>(workloads: &[P], tests: &[BoxedTest]) -> Vec<Vec<Analysis>>
-where
-    P: std::borrow::Borrow<PreparedWorkload> + Sync,
-{
-    parallel_map_with(workloads, AnalysisScratch::new, |scratch, prepared| {
-        let prepared = prepared.borrow();
-        tests
-            .iter()
-            .map(|test| test.analyze_prepared_with(prepared, scratch))
-            .collect()
-    })
-}
-
-/// [`analyze_many_prepared`] with one **caller-owned** [`WorkBudget`] per
-/// workload: item `i` runs its whole suite against `budgets[i]`, and the
-/// budget — charges included — is written back, so a caller can meter
-/// *several successive calls* (an escalation ladder, say) against one
-/// per-item allowance.  Per-item budgets make exhaustion independent of
-/// the worker split: the results equal a sequential loop over the items.
-///
-/// # Panics
-///
-/// Panics when `budgets.len() != workloads.len()`.
-pub fn analyze_many_prepared_budgeted<P>(
-    workloads: &[P],
-    tests: &[BoxedTest],
-    budgets: &mut [WorkBudget],
-) -> Vec<Vec<Analysis>>
-where
-    P: std::borrow::Borrow<PreparedWorkload> + Sync,
-{
-    assert_eq!(
-        workloads.len(),
-        budgets.len(),
-        "one budget per prepared workload"
-    );
-    let pairs: Vec<(&P, WorkBudget)> = workloads.iter().zip(budgets.iter().copied()).collect();
-    let results = parallel_map_with(
-        &pairs,
-        AnalysisScratch::new,
-        |scratch, &(prepared, budget)| {
-            scratch.set_budget(budget);
-            let analyses: Vec<Analysis> = tests
-                .iter()
-                .map(|test| test.analyze_prepared_with(prepared.borrow(), scratch))
-                .collect();
-            (analyses, scratch.take_budget())
-        },
-    );
-    results
-        .into_iter()
-        .zip(budgets.iter_mut())
-        .map(|((analyses, spent), slot)| {
-            *slot = spent;
-            analyses
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,17 +304,6 @@ mod tests {
         assert_eq!(
             analyze_many(&workloads, &tests),
             analyze_many_serial(&workloads, &tests)
-        );
-    }
-
-    #[test]
-    fn prepared_variant_agrees() {
-        let workloads = sample_sets();
-        let tests = suite();
-        let prepared = prepare_many(&workloads);
-        assert_eq!(
-            analyze_many_prepared(&prepared, &tests),
-            analyze_many(&workloads, &tests)
         );
     }
 

@@ -35,9 +35,10 @@
 //! # Replay semantics
 //!
 //! Records replay in append order into [`JournalState`]: `Tenant` creates
-//! an (initially empty) tenant, `Admit` appends a committed component
-//! under its service-assigned id, `Evict` removes one by id, `Mode`
-//! switches the service-level objective and `NextId` raises the id
+//! an empty tenant (or empties an existing one, which is how a tenant
+//! re-registered with a new base replays), `Admit` appends a committed
+//! component under its service-assigned id, `Evict` removes one by id,
+//! `Mode` switches the service-level objective and `NextId` raises the id
 //! allocator floor (written by snapshots so recovered services never
 //! reuse ids).  The rebuilt state is **bit-identical** to the pre-crash
 //! committed state — components replay in their original insertion order,
@@ -67,7 +68,11 @@ const MAX_PAYLOAD_BYTES: u32 = 1 << 20;
 /// documentation](self) for replay semantics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalRecord {
-    /// A tenant now exists (even if it never commits a component).
+    /// A tenant now exists with no committed components (even if it
+    /// never commits one).  Replay resets an existing tenant of that name
+    /// to empty, so a re-registration followed by its base `Admit`s
+    /// recovers the new base alone.  Every other writer emits it only for
+    /// a tenant that does not exist yet.
     Tenant {
         /// Tenant name.
         tenant: String,
@@ -113,9 +118,7 @@ impl JournalState {
     /// Replays `record` into the state (see the [module docs](self)).
     pub fn apply(&mut self, record: &JournalRecord) {
         match record {
-            JournalRecord::Tenant { tenant } => {
-                self.tenant_entry(tenant);
-            }
+            JournalRecord::Tenant { tenant } => self.tenant_entry(tenant).clear(),
             JournalRecord::Admit {
                 tenant,
                 id,

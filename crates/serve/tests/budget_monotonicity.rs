@@ -3,9 +3,7 @@
 //! allowance `B' ≥ B` — growing a request's budget can only convert
 //! `Unknown`s into answers, never change an answer — across workload
 //! families (periodic and one-shot components, light through overloaded)
-//! and across both analysis preparations (the sequential per-request
-//! path and the wave-batched path, which must also agree with each other
-//! at every allowance).
+//! spread over several tenants.
 //!
 //! Allowances are expressed in [`SlaMode::BudgetedUnits`], so the whole
 //! property is machine-independent: no wall clock, no calibration, the
@@ -31,8 +29,7 @@ fn arb_component() -> impl Strategy<Value = DemandComponent> {
     })
 }
 
-/// A committed base plus probe components, spread over a few tenants so
-/// the wave path has independent systems to fan out.
+/// A committed base plus probe components, spread over a few tenants.
 fn arb_scenario() -> impl Strategy<Value = (Vec<DemandComponent>, Vec<DemandComponent>)> {
     (
         prop::collection::vec(arb_component(), 0..=4),
@@ -57,12 +54,10 @@ fn service_with(base: &[DemandComponent], units: u64) -> AdmissionService {
 }
 
 proptest! {
-    /// The tentpole property: walk a doubling allowance grid and pin
-    /// that (a) every allowance is internally deterministic, (b) wave
-    /// and sequential analyses agree bit for bit at every allowance,
-    /// and (c) once any request's verdict turns decisive it stays that
-    /// exact analysis for every larger allowance, the uncapped exact
-    /// answer included.
+    /// Walk a doubling allowance grid and pin that (a) every allowance
+    /// is internally deterministic, and (b) once any request's verdict
+    /// turns decisive it stays that exact analysis for every larger
+    /// allowance, the uncapped exact answer included.
     #[test]
     fn decisive_verdicts_survive_any_larger_budget(
         scenario in arb_scenario(),
@@ -78,29 +73,24 @@ proptest! {
         grid.insert(0, 0);
         grid.push(u64::MAX);
         for units in grid {
-            // Sequential preparation.
-            let mut sequential = service_with(&base, units);
-            let one_by_one: Vec<_> = requests
-                .iter()
-                .map(|&(tenant, component)| {
-                    sequential
-                        .what_if(tenant, component)
-                        .expect("valid component")
-                        .analysis
-                })
-                .collect();
-            // Wave preparation over the same requests.
-            let mut batched = service_with(&base, units);
-            let wave: Vec<_> = batched
-                .what_if_many(&requests)
-                .into_iter()
-                .map(|response| response.expect("valid component").analysis)
-                .collect();
+            let run = || {
+                let mut service = service_with(&base, units);
+                requests
+                    .iter()
+                    .map(|&(tenant, component)| {
+                        service
+                            .what_if(tenant, component)
+                            .expect("valid component")
+                            .analysis
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let analyses = run();
             prop_assert_eq!(
-                &wave, &one_by_one,
-                "units={}: wave and sequential preparations diverged", units
+                &run(), &analyses,
+                "units={}: two runs at the same allowance diverged", units
             );
-            for (index, analysis) in one_by_one.into_iter().enumerate() {
+            for (index, analysis) in analyses.into_iter().enumerate() {
                 if let Some(first) = &decisive[index] {
                     prop_assert_eq!(
                         &analysis, first,

@@ -1,9 +1,9 @@
 //! Replay-equivalence property tests: any sequence of journaled service
-//! operations (admits, evictions, mode changes, snapshots), recovered by
-//! replaying the journal, yields a service whose observable state —
-//! `STAT` summaries (bit-identical utilization), mode, id allocator and
-//! the verdict of every subsequent analysis — matches the live pre-crash
-//! service exactly.
+//! operations (admits, evictions, tenant (re-)registrations, mode
+//! changes, snapshots), recovered by replaying the journal, yields a
+//! service whose observable state — `STAT` summaries (bit-identical
+//! utilization), mode, id allocator and the verdict of every subsequent
+//! analysis — matches the live pre-crash service exactly.
 //!
 //! This extends the `edit_equivalence` argument one layer up: that suite
 //! proves the *view's* delta path is bit-identical to a cold
@@ -15,7 +15,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use edf_analysis::workload::DemandComponent;
+use edf_analysis::workload::{DemandComponent, PreparedWorkload};
 use edf_model::Time;
 use edf_serve::{AdmissionDecision, AdmissionService, SlaMode};
 use proptest::prelude::*;
@@ -39,9 +39,12 @@ enum Op {
         tenant: usize,
         selector: usize,
     },
-    Mode {
-        budget_micros: Option<u64>,
+    /// Registers (or re-registers, replacing a live tenant) with `base`.
+    Register {
+        tenant: usize,
+        base: Vec<DemandComponent>,
     },
+    Mode(SlaMode),
     Snapshot,
 }
 
@@ -58,21 +61,33 @@ fn arb_component() -> impl Strategy<Value = DemandComponent> {
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    (0u8..=9, 0usize..4, arb_component(), 0usize..8, 0u64..=2).prop_map(
-        |(kind, tenant, component, selector, mode)| match kind {
-            // Admissions weighted up so journals accumulate real state.
-            0..=5 => Op::Admit { tenant, component },
-            6 | 7 => Op::Evict { tenant, selector },
-            8 => Op::Mode {
-                budget_micros: match mode {
-                    0 => None,
-                    1 => Some(0),
-                    _ => Some(100_000),
-                },
-            },
-            _ => Op::Snapshot,
-        },
+    (
+        0u8..=10,
+        0usize..4,
+        arb_component(),
+        0usize..8,
+        0u8..=3,
+        prop::collection::vec(arb_component(), 0..=3),
     )
+        .prop_map(
+            |(kind, tenant, component, selector, mode, base)| match kind {
+                // Admissions weighted up so journals accumulate real state.
+                0..=5 => Op::Admit { tenant, component },
+                6 | 7 => Op::Evict { tenant, selector },
+                8 => Op::Mode(match mode {
+                    0 => SlaMode::Exact,
+                    1 => SlaMode::Budgeted {
+                        deadline: Duration::ZERO,
+                    },
+                    2 => SlaMode::Budgeted {
+                        deadline: Duration::from_millis(100),
+                    },
+                    _ => SlaMode::BudgetedUnits { units: 2_000 },
+                }),
+                9 => Op::Register { tenant, base },
+                _ => Op::Snapshot,
+            },
+        )
 }
 
 const TENANTS: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
@@ -99,14 +114,15 @@ fn drive(service: &mut AdmissionService, ops: &[Op]) {
                 let id = live[index].remove(position);
                 service.evict(TENANTS[index], id).expect("live id");
             }
-            Op::Mode { budget_micros } => {
-                let mode = match budget_micros {
-                    None => SlaMode::Exact,
-                    Some(micros) => SlaMode::Budgeted {
-                        deadline: Duration::from_micros(*micros),
-                    },
-                };
-                service.set_mode(mode).expect("journal append");
+            Op::Register { tenant, base } => {
+                let index = tenant % TENANTS.len();
+                let base = PreparedWorkload::from_components(base.clone());
+                live[index] = service
+                    .register_tenant(TENANTS[index], &base)
+                    .expect("valid base");
+            }
+            Op::Mode(mode) => {
+                service.set_mode(*mode).expect("journal append");
             }
             Op::Snapshot => {
                 service.snapshot().expect("journal compaction");
