@@ -109,8 +109,9 @@ fn bench_admission_paths(c: &mut Criterion) {
 }
 
 /// The budgeted anytime lanes against the exact lane on the same tenant:
-/// a generous budget escalates capped levels until the (identical)
-/// decisive verdict, a zero budget answers immediately with `Unknown`.
+/// a generous budget runs the same exact test once, metered, to the
+/// identical decisive verdict; a zero budget answers immediately with
+/// `Unknown`.
 /// The `units_*` lanes express the allowance directly in deterministic
 /// work units ([`SlaMode::BudgetedUnits`]): `units_exhaust` measures the
 /// exhaustion-answer latency (how fast a shed request unwinds through

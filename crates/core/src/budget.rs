@@ -198,9 +198,12 @@ pub struct Progress {
     /// completed (or the phase, like QPA's descent, certifies downward
     /// rather than upward).
     pub certified_interval: Option<Time>,
-    /// The highest approximation level fully answered before exhaustion,
-    /// when the run was a level-escalation ladder (the service's budgeted
-    /// mode); `None` for single-level runs.
+    /// The approximation level bound in force when a refining test ran
+    /// out: the dynamic-error test's current level, or the
+    /// all-approximated test's
+    /// [`with_max_level`](crate::tests::AllApproximatedTest::with_max_level)
+    /// cap.  `None` for an uncapped all-approximated run and for the
+    /// non-refining tests.
     pub bounded_level: Option<u64>,
 }
 

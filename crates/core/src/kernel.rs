@@ -1207,10 +1207,9 @@ impl AnalysisScratch {
     /// [`Unknown`](crate::Verdict::Unknown) carrying a
     /// [`Progress`](crate::budget::Progress) record.  It persists across
     /// analyses (spent units accumulate) until replaced by `set_budget` or
-    /// drained by [`take_budget`](AnalysisScratch::take_budget), which is
-    /// how a level-escalation ladder meters several runs against one
-    /// allowance.  Every other scratch field remains a pure buffer with no
-    /// influence on results.
+    /// drained by [`take_budget`](AnalysisScratch::take_budget), so
+    /// several runs can be metered against one allowance.  Every other
+    /// scratch field remains a pure buffer with no influence on results.
     pub fn set_budget(&mut self, budget: WorkBudget) {
         self.budget = budget;
     }

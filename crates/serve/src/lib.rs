@@ -16,24 +16,25 @@
 //!
 //! * **Exact** — every request runs the exact test; verdicts are always
 //!   decisive (unless a [watchdog guard](WatchdogConfig) fires first).
-//! * **Budgeted** — an anytime escalation over the capped-level test
-//!   constructor ([`AllApproximatedTest::with_max_level`]): levels are
-//!   doubled until a decisive verdict lands or the per-request allowance
-//!   runs out, at which point the service answers an **honest
-//!   [`Verdict::Unknown`]** (and declines the admission) rather than a
-//!   wrong verdict.  Decisive capped verdicts are exact, so budgeting
-//!   never trades correctness — only decisiveness.
+//! * **Budgeted** — the same exact test, run once under a per-request
+//!   work allowance.  The test is adaptive already (it approximates
+//!   every task and withdraws approximations only where a comparison
+//!   fails), so when the allowance runs out mid-analysis the service
+//!   answers an **honest [`Verdict::Unknown`]** (and declines the
+//!   admission) rather than a wrong verdict.  A decisive budgeted
+//!   analysis is the Exact-mode analysis, so budgeting never trades
+//!   correctness — only decisiveness.
 //!
 //! Degradation is **budget-first**: every wall-clock allowance (the
 //! budgeted deadline, the watchdog guard, the degraded deadline) is
 //! converted once into deterministic [`WorkBudget`] units at the
 //! service's calibrated [`work rate`](AdmissionService::work_rate), and
-//! the escalation ladder meters each request against its own unit
-//! budget.  Which requests exhaust — and at which level — is therefore a
-//! pure function of the workload and the configured allowances, making
-//! load shedding and the Exact→Budgeted hysteresis bit-reproducible
-//! across runs and machines (the wall clock survives only as a backstop
-//! against mis-calibration).
+//! each request's analysis is metered against its own unit budget.
+//! Which requests exhaust is therefore a pure function of the workload
+//! and the configured allowances, making load shedding and the
+//! Exact→Budgeted hysteresis bit-reproducible across runs and machines;
+//! the wall clock is read only by
+//! [`calibrate_work_rate`](AdmissionService::calibrate_work_rate).
 //! [`SlaMode::BudgetedUnits`] expresses the allowance directly in units,
 //! with no wall-clock conversion at all.
 //!
@@ -56,9 +57,8 @@
 //!   [`Verdict::Unknown`]; sustained trips degrade the service to
 //!   [`SlaMode::Budgeted`] with hysteresis
 //!   ([`AdmissionService::is_degraded`]) so one pathological tenant
-//!   cannot stall the queue.  Guard-unit exhaustions (and the wall-clock
-//!   backstop, should calibration be badly off) count as trips; SLA
-//!   budget exhaustions do not.
+//!   cannot stall the queue.  Guard-unit exhaustions count as trips;
+//!   SLA budget exhaustions do not.
 //! * **Panic isolation** — per-request analysis runs under
 //!   [`catch_unwind`]; a panic marks the tenant's view poisoned
 //!   ([`WorkloadView::is_poisoned`]) and rebuilds it cold from the
@@ -115,14 +115,14 @@ pub enum SlaMode {
     /// decisive; latency is whatever exactness costs (unless a watchdog
     /// guard caps it).
     Exact,
-    /// Anytime mode: escalate capped-level tests (levels 2, 4, 8, …)
-    /// until a decisive verdict or the allowance runs out, then answer an
-    /// honest [`Verdict::Unknown`].  A decisive answer under a cap is
-    /// exact, so this mode can return a *missing* verdict but never a
-    /// *wrong* one.  The deadline is converted **once** into
-    /// deterministic work units at the service's calibrated
-    /// [`work rate`](AdmissionService::work_rate); the ladder then meters
-    /// units, not the clock, so the degradation point is reproducible.
+    /// Anytime mode: run the exact test under a per-request allowance
+    /// and answer an honest [`Verdict::Unknown`] if it runs out first.
+    /// A decisive answer is the Exact-mode answer, so this mode can
+    /// return a *missing* verdict but never a *wrong* one.  The deadline
+    /// is converted **once** into deterministic work units at the
+    /// service's calibrated [`work rate`](AdmissionService::work_rate);
+    /// the analysis then meters units, not the clock, so the degradation
+    /// point is reproducible.
     Budgeted {
         /// Per-request analysis deadline.  [`Duration::ZERO`] permits only
         /// the free checks (the exact `U > 1` comparison).
@@ -148,9 +148,7 @@ pub enum SlaMode {
 /// the service's calibrated [`work rate`](AdmissionService::work_rate),
 /// and a request that exhausts the guard units before a decisive verdict
 /// answers an honest [`Verdict::Unknown`] and counts one *trip* — the
-/// same request stream trips at the same requests on every run.  (The
-/// wall clock itself is retained as a backstop: if calibration is badly
-/// off, the elapsed guard still trips.)
+/// same request stream trips at the same requests on every run.
 /// [`trip_threshold`](Self::trip_threshold) consecutive trips degrade the
 /// service to [`SlaMode::Budgeted`] with
 /// [`degraded_deadline`](Self::degraded_deadline);
@@ -592,13 +590,21 @@ impl AdmissionService {
     }
 
     /// Switches the service-level objective for subsequent requests
-    /// (journaled when a journal is attached).
+    /// (journaled when a journal is attached).  A [`SlaMode::Budgeted`]
+    /// deadline is clamped to `u64::MAX` nanoseconds, the journal's
+    /// range, so the live mode and a replayed one agree.
     ///
     /// # Errors
     ///
     /// [`RequestError::Journal`] if the mode record cannot be appended;
     /// the mode is left unchanged.
     pub fn set_mode(&mut self, mode: SlaMode) -> Result<(), RequestError> {
+        let mode = match mode {
+            SlaMode::Budgeted { deadline } => SlaMode::Budgeted {
+                deadline: deadline.min(Duration::from_nanos(u64::MAX)),
+            },
+            other => other,
+        };
         self.journal_append(&JournalRecord::Mode(mode))?;
         self.mode = mode;
         Ok(())
@@ -684,8 +690,8 @@ impl AdmissionService {
     /// an unlimited (metering) budget for a couple of milliseconds and
     /// divides units spent by elapsed microseconds.  After this single
     /// measurement every degradation decision is a pure function of
-    /// workloads and configured allowances — the clock is consulted again
-    /// only as a backstop.  Returns the measured rate.
+    /// workloads and configured allowances — the clock is never consulted
+    /// again.  Returns the measured rate.
     pub fn calibrate_work_rate(&mut self) -> u64 {
         // A mid-size sporadic set with spread deadlines and periods: the
         // exact test walks thousands of checkpointed steps per pass, so
@@ -1159,58 +1165,14 @@ fn hypothetical(analysis: &Analysis) -> AdmissionDecision {
     }
 }
 
-/// The work-unit allowances one request runs under: the SLA budget and
-/// the watchdog guard, both already converted to deterministic units.
-#[derive(Debug, Clone, Copy)]
-struct UnitCaps {
-    /// SLA allowance in units (`None` for [`SlaMode::Exact`]).
-    sla: Option<u64>,
-    /// Guard allowance in units (`None` without a watchdog).
-    guard: Option<u64>,
-}
-
-impl UnitCaps {
-    /// Converts the mode's and guard's wall-clock allowances once at the
-    /// service's work rate.  [`SlaMode::BudgetedUnits`] passes through
-    /// untouched.
-    fn from_allowances(mode: SlaMode, guard: Option<Duration>, work_rate: u64) -> Self {
-        let sla = match mode {
-            SlaMode::Exact => None,
-            SlaMode::Budgeted { deadline } => Some(units_for(deadline, work_rate)),
-            SlaMode::BudgetedUnits { units } => Some(units),
-        };
-        UnitCaps {
-            sla,
-            guard: guard.map(|guard| units_for(guard, work_rate)),
-        }
-    }
-
-    /// The binding per-request allowance, `None` when fully uncapped.
-    fn cap(&self) -> Option<u64> {
-        match (self.sla, self.guard) {
-            (Some(sla), Some(guard)) => Some(sla.min(guard)),
-            (Some(sla), None) => Some(sla),
-            (None, Some(guard)) => Some(guard),
-            (None, None) => None,
-        }
-    }
-
-    /// Whether an exhausted budget counts as a *guard* trip: only when
-    /// the spend overran the guard's own allowance (a tight SLA budget
-    /// alone must not trigger load shedding).
-    fn guard_tripped(&self, budget: &WorkBudget) -> bool {
-        budget.is_exhausted() && self.guard.is_some_and(|units| budget.spent() > units)
-    }
-}
-
 /// Analyzes one prepared system under the given mode and optional
 /// watchdog guard, **budget-first**: the wall-clock allowances are
-/// converted once to deterministic work units ([`UnitCaps`]) and the
-/// escalation ladder (levels 2, 4, 8, …) meters every level against one
-/// per-request [`WorkBudget`], so the request exhausts at the same step
-/// on every run.  The wall clock is consulted only as a backstop between
-/// levels, against mis-calibration; on the deterministic path the unit
-/// budget always exhausts first.
+/// converted once to deterministic work units and the uncapped exact
+/// test runs once, metered against the smaller of the SLA and guard
+/// allowances, so the request exhausts at the same step on every run.
+/// The test is already adaptive (it withdraws approximations only where
+/// a comparison fails), so an exhausted run answers an honest `Unknown`
+/// and a decisive one is exactly the Exact-mode analysis.
 ///
 /// Returns the analysis plus whether the *guard* (not the SLA budget)
 /// was the binding exhausted allowance — the watchdog's trip signal.
@@ -1233,75 +1195,46 @@ fn analyze_one(
     if forced_fire {
         return (Analysis::trivial(Verdict::Unknown), true);
     }
-    let caps = UnitCaps::from_allowances(mode, guard, work_rate);
-    let cap = if forced_exhaust { Some(0) } else { caps.cap() };
-    let Some(cap_units) = cap else {
-        // Exact mode without a watchdog: the uncapped exact test, always
-        // decisive — the pre-watchdog behavior, preserved bit-for-bit.
-        return (
-            AllApproximatedTest::new().analyze_prepared_with(prepared, scratch),
-            false,
-        );
+    let sla_units = match mode {
+        SlaMode::Exact => None,
+        SlaMode::Budgeted { deadline } => Some(units_for(deadline, work_rate)),
+        SlaMode::BudgetedUnits { units } => Some(units),
     };
-    let start = Instant::now();
-    let mut budget = WorkBudget::limited(cap_units);
-    let mut bounded_level = None;
-    let mut level = 2u64;
-    loop {
-        // Entering a level costs one unit.  Small systems can answer
-        // without their loops ever charging, so this is what keeps the
-        // zero-allowance contract (`MODE budget 0` / `MODE units 0`
-        // sheds every non-free request) and guarantees that a forced
-        // exhaustion fault always unwinds to `Unknown`.
-        if !budget.charge(1) {
-            return (
-                shed_analysis(&budget, bounded_level),
-                caps.guard_tripped(&budget),
-            );
-        }
-        let spent_before = budget.spent();
+    let guard_units = guard.map(|guard| units_for(guard, work_rate));
+    let cap = [sla_units, guard_units].into_iter().flatten().min();
+    let mut budget = if forced_exhaust {
+        WorkBudget::limited(0)
+    } else {
+        cap.map_or(WorkBudget::unlimited(), WorkBudget::limited)
+    };
+    // Entry costs one unit.  Small systems can answer without their loops
+    // ever charging, so this is what keeps the zero-allowance contract
+    // (`MODE budget 0` / `MODE units 0` sheds every non-free request) and
+    // guarantees that a forced exhaustion fault always unwinds to
+    // `Unknown`.
+    let analysis = if budget.charge(1) {
         scratch.set_budget(budget);
-        let test = AllApproximatedTest::new().with_max_level(level);
-        let mut analysis = test.analyze_prepared_with(prepared, scratch);
+        let analysis = AllApproximatedTest::new().analyze_prepared_with(prepared, scratch);
         budget = scratch.take_budget();
-        if analysis.verdict.is_decisive() {
-            return (analysis, false);
-        }
-        if budget.is_exhausted() {
-            // Enrich the core's progress record with the deepest level
-            // the ladder fully answered before the budget ran out.
-            if let Some(progress) = analysis.progress.as_mut() {
-                progress.bounded_level = bounded_level;
-            }
-            return (analysis, caps.guard_tripped(&budget));
-        }
-        bounded_level = Some(level);
-        if let Some(guard) = guard {
-            // Wall-clock backstop only: a mis-calibrated work rate still
-            // cannot stall the service past the guard.
-            if start.elapsed() >= guard {
-                return (analysis, true);
-            }
-        }
-        if level == u64::MAX || budget.spent() == spent_before {
-            // Cannot escalate further, or the level charged nothing (no
-            // meterable work left): answer the honest Unknown.
-            return (analysis, false);
-        }
-        level = level.saturating_mul(2);
-    }
+        analysis
+    } else {
+        shed_analysis(&budget)
+    };
+    // Only a spend past the guard's own allowance is a trip: a tight SLA
+    // budget alone must not trigger load shedding.
+    let tripped = budget.is_exhausted() && guard_units.is_some_and(|units| budget.spent() > units);
+    (analysis, tripped)
 }
 
 /// The honest `Unknown` a request answers when its budget refuses the
-/// ladder's level-entry charge, carrying the exhausted budget's spend and
-/// the deepest level fully answered before it.
-fn shed_analysis(budget: &WorkBudget, bounded_level: Option<u64>) -> Analysis {
+/// entry charge, carrying the exhausted budget's spend.
+fn shed_analysis(budget: &WorkBudget) -> Analysis {
     let mut analysis = Analysis::trivial(Verdict::Unknown);
     analysis.progress = Some(Progress {
         units_spent: budget.spent(),
         phase: ProgressPhase::Bounds,
         certified_interval: None,
-        bounded_level,
+        bounded_level: None,
     });
     analysis
 }

@@ -16,8 +16,7 @@
 //!   consecutive trips, recover after 8 clean requests).  The allowance
 //!   is enforced **budget-first**: it is converted once to deterministic
 //!   work units at the service's work rate and metered at the analysis
-//!   loops' budget checkpoints, with the wall clock kept only as a
-//!   backstop against mis-calibration — so shedding decisions are
+//!   loops' budget checkpoints, so shedding decisions are
 //!   bit-reproducible across machines.
 //! * `--work-rate <units-per-us>` — pin the wall-clock → work-unit
 //!   conversion rate instead of calibrating it at startup.  Without this
@@ -63,8 +62,8 @@
 //! whose allowance runs out answers `UNDETERMINED verdict=unknown` —
 //! honest, never fabricated — and increments `budget_exhaustions` in
 //! `HEALTH`.  `guard_trips` counts only exhaustions that bind on the
-//! *watchdog* allowance (or the wall-clock backstop), so a tight SLA
-//! budget alone never drives the shed/degrade hysteresis.
+//! *watchdog* allowance, so a tight SLA budget alone never drives the
+//! shed/degrade hysteresis.
 //!
 //! # Error taxonomy
 //!

@@ -66,7 +66,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         0usize..4,
         arb_component(),
         0usize..8,
-        0u8..=3,
+        0u8..=4,
         prop::collection::vec(arb_component(), 0..=3),
     )
         .prop_map(
@@ -82,7 +82,12 @@ fn arb_op() -> impl Strategy<Value = Op> {
                     2 => SlaMode::Budgeted {
                         deadline: Duration::from_millis(100),
                     },
-                    _ => SlaMode::BudgetedUnits { units: 2_000 },
+                    3 => SlaMode::BudgetedUnits { units: 2_000 },
+                    // Beyond the journal's u64-nanosecond range
+                    // (`MODE budget 18446744073709551615`).
+                    _ => SlaMode::Budgeted {
+                        deadline: Duration::from_micros(u64::MAX),
+                    },
                 }),
                 9 => Op::Register { tenant, base },
                 _ => Op::Snapshot,
