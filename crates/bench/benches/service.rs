@@ -55,8 +55,9 @@ fn light_tenant(n: u64) -> Vec<DemandComponent> {
 /// through the service's delta path over the committed [`EditView`]; the
 /// `cold_prepare` series re-prepares the edited component list from
 /// scratch, which is what a view-less server would have to do.  The
-/// parameter is the period ratio for the sporadic fixtures (10, 100) and
-/// the component count for the light consolidation tenants (256, 1024).
+/// parameter names the tenant: `ratio10`/`ratio100` are sporadic fixtures
+/// with that period ratio, `n256`/`n1024` light consolidation tenants
+/// with that many components.
 fn bench_admission_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("service");
     group
@@ -65,13 +66,13 @@ fn bench_admission_paths(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
 
     let test = AllApproximatedTest::new();
-    let bases: Vec<(u64, Vec<DemandComponent>)> = vec![
-        (10, tenant_base(10, 0)),
-        (100, tenant_base(100, 0)),
-        (256, light_tenant(256)),
-        (1024, light_tenant(1024)),
+    let bases: Vec<(&str, Vec<DemandComponent>)> = vec![
+        ("ratio10", tenant_base(10, 0)),
+        ("ratio100", tenant_base(100, 0)),
+        ("n256", light_tenant(256)),
+        ("n1024", light_tenant(1024)),
     ];
-    for (ratio, base) in bases {
+    for (tenant, base) in bases {
         let mut service = AdmissionService::new();
         service
             .register_tenant("tenant", &PreparedWorkload::from_components(base.clone()))
@@ -80,7 +81,7 @@ fn bench_admission_paths(c: &mut Criterion) {
         // service operation, not first-touch preparation.
         service.what_if("tenant", probe()).expect("valid probe");
         group.bench_with_input(
-            BenchmarkId::new("whatif_editview", ratio),
+            BenchmarkId::new("whatif_editview", tenant),
             &base,
             |b, _base| {
                 b.iter(|| {
@@ -93,7 +94,7 @@ fn bench_admission_paths(c: &mut Criterion) {
 
         let mut scratch = AnalysisScratch::new();
         group.bench_with_input(
-            BenchmarkId::new("whatif_cold_prepare", ratio),
+            BenchmarkId::new("whatif_cold_prepare", tenant),
             &base,
             |b, base| {
                 b.iter(|| {

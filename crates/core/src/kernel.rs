@@ -40,56 +40,9 @@
 //!   [`batch::analyze_many`](crate::batch::analyze_many) perform no
 //!   per-workload transient allocations after warm-up.
 //!
-//! # Lane layout and width narrowing
-//!
-//! The periodic columns exist at **two widths**.  The `u64` columns above
-//! are always present and always authoritative.  Whenever every periodic
-//! deadline and period fits `u32` — the common regime of the literature's
-//! generators, where timing parameters live in `[1, 10⁶]` — the kernel
-//! additionally maintains `u32` **shadow columns** (`deadline`/`period`/
-//! `wcet` plus one-multiply [`Reciprocal32`](crate::arith) reciprocals):
-//! half to a quarter of the memory traffic per element and one widening
-//! multiply per division instead of two.  The invariants:
-//!
-//! * The **timing** shadow (`deadline`/`period`/reciprocals) is valid iff
-//!   all periodic deadlines *and* periods fit `u32`; it is written only on
-//!   rebuild — WCET rewrites never move timing — so predecessor queries
-//!   may use it regardless of the cost shadow's state.
-//! * The **cost** shadow (`wcet`) is additionally valid only while every
-//!   periodic WCET fits `u32`.  A wide `DemandKernel::set_wcet` write
-//!   *demotes* the kernel to the `u64` columns on the spot (queries stay
-//!   correct with no refresh); the next
-//!   `DemandKernel::refresh_after_rewrite` — every
-//!   [`ScaledView`](crate::incremental::ScaledView) probe boundary —
-//!   re-narrows when the costs fit again (*promotion* back).
-//! * Narrow queries also require the interval itself to fit `u32`; larger
-//!   intervals fall back to the wide loop per call.
-//!
-//! The narrow loops run in fixed-width chunks (`LANES` elements) of pure,
-//! branch-free lane arithmetic — no saturating operations, no
-//! data-dependent branches — with the original tight loop as the
-//! remainder tail, a shape the optimizer can unroll and schedule (and
-//! vectorize where the ISA offers widening multiplies) without a
-//! `core::arch` dependency; the crate stays `forbid(unsafe_code)`.
-//! Bit-identity with the scalar saturating fold is an arithmetic fact,
-//! not a hope: with `t < 2³²` every narrow term `wcet·(⌊(t−d)/p⌋+1)` is
-//! `< 2³²·2³² = 2⁶⁴`, so the wide path's per-term `saturating_mul` never
-//! clamps, and a sequential saturating fold of non-negative `u64` terms
-//! equals `min(Σ, u64::MAX)` — exactly what the narrow path computes by
-//! accumulating in `u128` and clamping once at the end.
-//!
-//! [`DemandKernel::dbf_many`] amortizes column traffic further for
-//! batched interval evaluation (the exhaustive oracle's dense sweep, a
-//! refining test's outstanding comparisons): blocks of four intervals
-//! share every column load in one column-major pass, with the
-//! `if deadline ≤ t` filter turned into a mask-and-accumulate so the
-//! block loop stays branch-free.
-//!
-//! In `BENCH_kernel.json`, the `dbf*/columnar` series run these narrow
-//! chunked loops (all fixture parameters fit `u32`), the `dbf*/scalar`
-//! series the retained scalar oracle, and `dbf_batch/*` compares
-//! `dbf_many` against one-interval-at-a-time evaluation on the same
-//! probe set.
+//! Every query runs the `u64` columns, dividing by each period through
+//! the column's cached [`Reciprocal`](crate::arith) (two widening
+//! multiplies instead of a hardware division).
 //!
 //! The scalar array-of-structs path is retained **only** as an oracle:
 //! [`PreparedWorkload::scalar_reference`](crate::workload::PreparedWorkload::scalar_reference)
@@ -126,31 +79,10 @@ use std::collections::BinaryHeap;
 
 use edf_model::Time;
 
-use crate::arith::{Reciprocal, Reciprocal32};
+use crate::arith::Reciprocal;
 use crate::budget::WorkBudget;
 use crate::superposition::ApproxTerm;
 use crate::workload::DemandComponent;
-
-/// Fixed chunk width of the narrow demand loops (see the module docs'
-/// *Lane layout* section): wide enough to fill two 256-bit lanes of `u32`
-/// columns, small enough that the remainder tail stays negligible.
-const LANES: usize = 8;
-
-/// Number of intervals [`DemandKernel::dbf_many`] evaluates per
-/// column-major block (every column load is amortized over this many
-/// intervals).
-const INTERVAL_BLOCK: usize = 4;
-
-/// Largest value representable in the narrow (`u32`) columns.
-const NARROW_MAX: u64 = u32::MAX as u64;
-
-/// `min(total, u64::MAX)` — the single final clamp of the narrow paths'
-/// exact `u128` accumulation, equal to the scalar path's sequential
-/// saturating fold (see the module docs' *Lane layout* section).
-#[inline]
-fn clamp_u128(total: u128) -> u64 {
-    u64::try_from(total).unwrap_or(u64::MAX)
-}
 
 /// Where a component's cost lives inside the kernel columns.
 #[derive(Debug, Clone, Copy, Default)]
@@ -188,21 +120,6 @@ pub struct DemandKernel {
     /// refreshed by [`DemandKernel::refresh_after_rewrite`] before the
     /// next query.
     prefix_dirty: bool,
-    /// `u32` shadow columns of the periodic timing data (valid iff
-    /// `narrow_timing_fits`; written only on rebuild) and costs (valid iff
-    /// `narrow`) — see the module docs' *Lane layout* section.
-    n_deadline: Vec<u32>,
-    n_period: Vec<u32>,
-    n_wcet: Vec<u32>,
-    n_rcp: Vec<Reciprocal32>,
-    /// Every periodic deadline and period fits `u32`: the timing shadow
-    /// columns are populated and predecessor queries may run narrow.
-    narrow_timing_fits: bool,
-    /// Additionally, every periodic WCET currently fits `u32`: demand
-    /// queries may run narrow.  Demoted in place by a wide
-    /// [`DemandKernel::set_wcet`]; re-promoted by
-    /// [`DemandKernel::refresh_after_rewrite`] when the costs fit again.
-    narrow: bool,
 }
 
 impl DemandKernel {
@@ -274,7 +191,6 @@ impl DemandKernel {
             }
         }
         self.rebuild_prefix();
-        self.rebuild_narrow();
     }
 
     /// Recomputes the one-shot prefix sums (saturating, so the clamp
@@ -289,60 +205,12 @@ impl DemandKernel {
         self.prefix_dirty = false;
     }
 
-    /// (Re)derives the `u32` shadow columns from the freshly rebuilt wide
-    /// columns.  The timing half (deadlines, periods, reciprocals — the
-    /// reciprocals narrowed division-free from the wide cache, see
-    /// [`Reciprocal::narrowed`]) is written here and nowhere else; the
-    /// cost half goes through [`DemandKernel::renarrow_wcets`] so WCET
-    /// rewrites can re-promote without touching timing.
-    fn rebuild_narrow(&mut self) {
-        self.n_deadline.clear();
-        self.n_period.clear();
-        self.n_rcp.clear();
-        self.narrow_timing_fits = self.p_deadline.iter().all(|&d| d <= NARROW_MAX)
-            && self.p_period.iter().all(|&p| p <= NARROW_MAX);
-        if !self.narrow_timing_fits {
-            self.n_wcet.clear();
-            self.narrow = false;
-            return;
-        }
-        self.n_deadline
-            .extend(self.p_deadline.iter().map(|&d| d as u32));
-        self.n_period
-            .extend(self.p_period.iter().map(|&p| p as u32));
-        self.n_rcp.extend(self.p_rcp.iter().map(|r| r.narrowed()));
-        self.renarrow_wcets();
-    }
-
-    /// Refills the narrow cost column from the wide one, setting `narrow`
-    /// iff every periodic WCET (and the timing columns) fit `u32`.
-    fn renarrow_wcets(&mut self) {
-        self.n_wcet.clear();
-        if self.narrow_timing_fits && self.p_wcet.iter().all(|&w| w <= NARROW_MAX) {
-            self.n_wcet.extend(self.p_wcet.iter().map(|&w| w as u32));
-            self.narrow = true;
-        } else {
-            self.narrow = false;
-        }
-    }
-
     /// Rewrites the cost of `component` — a plain column write; deadlines,
-    /// periods and the sort order never move under WCET changes.  A cost
-    /// that no longer fits the narrow column demotes the kernel to the
-    /// wide loops immediately (no refresh needed for correctness);
-    /// [`DemandKernel::refresh_after_rewrite`] re-promotes.
+    /// periods and the sort order never move under WCET changes.
     pub(crate) fn set_wcet(&mut self, component: usize, wcet: Time) {
         let slot = self.slot_of[component];
         if slot.periodic {
-            let w = wcet.as_u64();
-            self.p_wcet[slot.index as usize] = w;
-            if self.narrow {
-                if w <= NARROW_MAX {
-                    self.n_wcet[slot.index as usize] = w as u32;
-                } else {
-                    self.narrow = false;
-                }
-            }
+            self.p_wcet[slot.index as usize] = wcet.as_u64();
         } else {
             self.o_wcet[slot.index as usize] = wcet.as_u64();
             self.prefix_dirty = true;
@@ -353,14 +221,10 @@ impl DemandKernel {
     /// [`DemandKernel::set_wcet`] writes (called by
     /// [`PreparedWorkload::install_refreshed_state`](crate::workload::PreparedWorkload)
     /// at the end of every [`ScaledView`](crate::incremental::ScaledView)
-    /// probe): one-shot prefix sums, and promotion back to the narrow
-    /// cost column when a previously demoted kernel's costs fit again.
+    /// probe): the one-shot prefix sums.
     pub(crate) fn refresh_after_rewrite(&mut self) {
         if self.prefix_dirty {
             self.rebuild_prefix();
-        }
-        if self.narrow_timing_fits && !self.narrow {
-            self.renarrow_wcets();
         }
     }
 
@@ -377,60 +241,21 @@ impl DemandKernel {
 
     /// Total demand bound function, bit-identical to the scalar
     /// saturating fold over [`DemandComponent::dbf`]: one binary search
-    /// for the deadline cutoff, then the narrow chunked lane loop (or the
-    /// wide tight loop when the columns or the interval exceed `u32`).
+    /// for the deadline cutoff, then a tight loop over the columns.
     #[must_use]
     pub fn dbf(&self, interval: Time) -> Time {
         let t = interval.as_u64();
-        let one_shot = self.one_shot_demand(t);
         let cut = self.p_deadline.partition_point(|&d| d <= t);
-        if self.narrow && t <= NARROW_MAX {
-            return Time::new(clamp_u128(
-                u128::from(one_shot) + self.dbf_narrow(t as u32, cut),
-            ));
-        }
-        let mut total = one_shot;
+        let mut total = self.one_shot_demand(t);
         for ((&deadline, &rcp), &wcet) in self.p_deadline[..cut]
             .iter()
             .zip(&self.p_rcp[..cut])
             .zip(&self.p_wcet[..cut])
         {
-            let jobs = rcp.divide(t - deadline) + 1;
+            let jobs = rcp.divide(t - deadline).saturating_add(1);
             total = total.saturating_add(wcet.saturating_mul(jobs));
         }
         Time::new(total)
-    }
-
-    /// The periodic demand `Σ wcet·(⌊(t−d)/p⌋+1)` over the first `cut`
-    /// narrow columns, exact in `u128` (see the module docs for why the
-    /// exact sum + final clamp equals the saturating fold).  The loop body
-    /// is branch-free lane arithmetic in [`LANES`]-wide chunks with the
-    /// plain loop as the remainder tail.
-    #[inline]
-    fn dbf_narrow(&self, t: u32, cut: usize) -> u128 {
-        let mut acc: u128 = 0;
-        let mut deadlines = self.n_deadline[..cut].chunks_exact(LANES);
-        let mut wcets = self.n_wcet[..cut].chunks_exact(LANES);
-        let mut rcps = self.n_rcp[..cut].chunks_exact(LANES);
-        for ((d, w), r) in (&mut deadlines).zip(&mut wcets).zip(&mut rcps) {
-            let mut chunk: u128 = 0;
-            for lane in 0..LANES {
-                // jobs ≤ 2³², wcet < 2³² ⇒ the term fits u64 exactly.
-                let jobs = r[lane].divide(t - d[lane]) + 1;
-                chunk += u128::from(u64::from(w[lane]) * jobs);
-            }
-            acc += chunk;
-        }
-        for ((&d, &w), &r) in deadlines
-            .remainder()
-            .iter()
-            .zip(wcets.remainder())
-            .zip(rcps.remainder())
-        {
-            let jobs = r.divide(t - d) + 1;
-            acc += u128::from(u64::from(w) * jobs);
-        }
-        acc
     }
 
     /// The largest job deadline strictly below `limit`, answered from the
@@ -447,60 +272,20 @@ impl DemandKernel {
         }
         let p_cut = self.p_deadline.partition_point(|&d| d < limit);
         if p_cut > 0 {
-            // The timing shadow alone suffices here (no costs involved),
-            // so the narrow path is available even while demand queries
-            // are demoted to the wide columns.
-            let periodic_best = if self.narrow_timing_fits && limit <= NARROW_MAX {
-                self.predecessor_narrow(limit as u32, p_cut)
-            } else {
-                let mut periodic_best = 0u64;
-                for ((&deadline, &period), &rcp) in self.p_deadline[..p_cut]
-                    .iter()
-                    .zip(&self.p_period[..p_cut])
-                    .zip(&self.p_rcp[..p_cut])
-                {
-                    // No overflow: k·period ≤ limit − 1 − deadline by
-                    // construction, matching the checked scalar path
-                    // exactly.
-                    let k = rcp.divide(limit - 1 - deadline);
-                    periodic_best = periodic_best.max(deadline + k * period);
-                }
-                periodic_best
-            };
+            let mut periodic_best = 0u64;
+            for ((&deadline, &period), &rcp) in self.p_deadline[..p_cut]
+                .iter()
+                .zip(&self.p_period[..p_cut])
+                .zip(&self.p_rcp[..p_cut])
+            {
+                // No overflow: k·period ≤ limit − 1 − deadline by
+                // construction, matching the checked scalar path exactly.
+                let k = rcp.divide(limit - 1 - deadline);
+                periodic_best = periodic_best.max(deadline + k * period);
+            }
             best = Some(best.map_or(periodic_best, |b| b.max(periodic_best)));
         }
         best.map(Time::new)
-    }
-
-    /// The periodic half of [`DemandKernel::last_deadline_below`] over the
-    /// first `p_cut` narrow columns: all-`u32` lane arithmetic (every
-    /// candidate `d + k·p ≤ limit − 1 < 2³²`), chunked like
-    /// [`DemandKernel::dbf_narrow`].
-    #[inline]
-    fn predecessor_narrow(&self, limit: u32, p_cut: usize) -> u64 {
-        let target = limit - 1;
-        let mut best: u32 = 0;
-        let mut deadlines = self.n_deadline[..p_cut].chunks_exact(LANES);
-        let mut periods = self.n_period[..p_cut].chunks_exact(LANES);
-        let mut rcps = self.n_rcp[..p_cut].chunks_exact(LANES);
-        for ((d, p), r) in (&mut deadlines).zip(&mut periods).zip(&mut rcps) {
-            let mut chunk: u32 = 0;
-            for lane in 0..LANES {
-                let k = r[lane].divide(target - d[lane]) as u32;
-                chunk = chunk.max(d[lane] + k * p[lane]);
-            }
-            best = best.max(chunk);
-        }
-        for ((&d, &p), &r) in deadlines
-            .remainder()
-            .iter()
-            .zip(periods.remainder())
-            .zip(rcps.remainder())
-        {
-            let k = r.divide(target - d) as u32;
-            best = best.max(d + k * p);
-        }
-        u64::from(best)
     }
 
     /// The combined QPA step query: `dbf(interval)` **and** the largest
@@ -519,30 +304,22 @@ impl DemandKernel {
         let p_le = self.p_deadline.partition_point(|&d| d <= t);
         let p_lt = self.p_deadline[..p_le].partition_point(|&d| d < t);
         if p_lt > 0 {
-            let periodic_best;
-            if self.narrow && t <= NARROW_MAX {
-                let (periodic_demand, narrow_best) = self.step_narrow(t as u32, p_lt);
-                total = clamp_u128(u128::from(total) + periodic_demand);
-                periodic_best = narrow_best;
-            } else {
-                let mut wide_best = 0u64;
-                for (((&deadline, &period), &rcp), &wcet) in self.p_deadline[..p_lt]
-                    .iter()
-                    .zip(&self.p_period[..p_lt])
-                    .zip(&self.p_rcp[..p_lt])
-                    .zip(&self.p_wcet[..p_lt])
-                {
-                    let delta = t - deadline;
-                    let q = rcp.divide(delta);
-                    let r = delta - q * period;
-                    total = total.saturating_add(wcet.saturating_mul(q + 1));
-                    // Last deadline < t: the q-th if t is not itself one
-                    // of this component's deadlines, the (q−1)-th
-                    // otherwise (q ≥ 1 there, since deadline < t).
-                    let steps = if r == 0 { q - 1 } else { q };
-                    wide_best = wide_best.max(deadline + steps * period);
-                }
-                periodic_best = wide_best;
+            let mut periodic_best = 0u64;
+            for (((&deadline, &period), &rcp), &wcet) in self.p_deadline[..p_lt]
+                .iter()
+                .zip(&self.p_period[..p_lt])
+                .zip(&self.p_rcp[..p_lt])
+                .zip(&self.p_wcet[..p_lt])
+            {
+                let delta = t - deadline;
+                let q = rcp.divide(delta);
+                let r = delta - q * period;
+                total = total.saturating_add(wcet.saturating_mul(q.saturating_add(1)));
+                // Last deadline < t: the q-th if t is not itself one of
+                // this component's deadlines, the (q−1)-th otherwise
+                // (q ≥ 1 there, since deadline < t).
+                let steps = if r == 0 { q - 1 } else { q };
+                periodic_best = periodic_best.max(deadline + steps * period);
             }
             best = Some(best.map_or(periodic_best, |b| b.max(periodic_best)));
         }
@@ -552,142 +329,6 @@ impl DemandKernel {
             total = total.saturating_add(wcet);
         }
         (Time::new(total), best.map(Time::new))
-    }
-
-    /// The fused QPA step over the first `p_lt` narrow columns: exact
-    /// `u128` periodic demand plus the best predecessor deadline, with the
-    /// `r == 0` correction applied branch-free (`steps = q − [r == 0]`;
-    /// `q ≥ 1` whenever `r == 0` since `deadline < t`).
-    #[inline]
-    fn step_narrow(&self, t: u32, p_lt: usize) -> (u128, u64) {
-        let mut acc: u128 = 0;
-        let mut best: u32 = 0;
-        let mut deadlines = self.n_deadline[..p_lt].chunks_exact(LANES);
-        let mut periods = self.n_period[..p_lt].chunks_exact(LANES);
-        let mut wcets = self.n_wcet[..p_lt].chunks_exact(LANES);
-        let mut rcps = self.n_rcp[..p_lt].chunks_exact(LANES);
-        for (((d, p), w), r) in (&mut deadlines)
-            .zip(&mut periods)
-            .zip(&mut wcets)
-            .zip(&mut rcps)
-        {
-            let mut chunk: u128 = 0;
-            let mut chunk_best: u32 = 0;
-            for lane in 0..LANES {
-                let delta = t - d[lane];
-                let q = r[lane].divide(delta);
-                let q32 = q as u32;
-                let rem = delta - q32 * p[lane];
-                chunk += u128::from(u64::from(w[lane]) * (q + 1));
-                let steps = q32 - u32::from(rem == 0);
-                chunk_best = chunk_best.max(d[lane] + steps * p[lane]);
-            }
-            acc += chunk;
-            best = best.max(chunk_best);
-        }
-        for (((&d, &p), &w), &r) in deadlines
-            .remainder()
-            .iter()
-            .zip(periods.remainder())
-            .zip(wcets.remainder())
-            .zip(rcps.remainder())
-        {
-            let delta = t - d;
-            let q = r.divide(delta);
-            let q32 = q as u32;
-            let rem = delta - q32 * p;
-            acc += u128::from(u64::from(w) * (q + 1));
-            let steps = q32 - u32::from(rem == 0);
-            best = best.max(d + steps * p);
-        }
-        (acc, u64::from(best))
-    }
-
-    /// Batched demand evaluation: `out` is filled with `dbf(interval)`
-    /// for every entry of `intervals`, in order, bit-identical to calling
-    /// [`DemandKernel::dbf`] once per interval.
-    ///
-    /// Blocks of `INTERVAL_BLOCK` intervals are evaluated column-major
-    /// on the narrow columns — every `deadline`/`wcet`/reciprocal load is
-    /// amortized over the whole block, and the per-element
-    /// `if deadline ≤ t` filter becomes a branch-free mask-and-accumulate
-    /// — with per-interval evaluation as the tail and the wide fallback.
-    /// `out` is cleared first; callers reuse the buffer across batches.
-    pub fn dbf_many(&self, intervals: &[Time], out: &mut Vec<Time>) {
-        out.clear();
-        out.reserve(intervals.len());
-        let mut blocks = intervals.chunks_exact(INTERVAL_BLOCK);
-        for block in &mut blocks {
-            let ts = [
-                block[0].as_u64(),
-                block[1].as_u64(),
-                block[2].as_u64(),
-                block[3].as_u64(),
-            ];
-            let t_max = ts[0].max(ts[1]).max(ts[2]).max(ts[3]);
-            if self.narrow && t_max <= NARROW_MAX {
-                let periodic = self.dbf_block_narrow(ts.map(|t| t as u32));
-                for (j, &t) in ts.iter().enumerate() {
-                    out.push(Time::new(clamp_u128(
-                        u128::from(self.one_shot_demand(t)) + periodic[j],
-                    )));
-                }
-            } else {
-                for &interval in block {
-                    out.push(self.dbf(interval));
-                }
-            }
-        }
-        for &interval in blocks.remainder() {
-            out.push(self.dbf(interval));
-        }
-    }
-
-    /// One column-major [`DemandKernel::dbf_many`] block: the exact
-    /// periodic demand of [`INTERVAL_BLOCK`] intervals in a single pass
-    /// over the narrow columns, split at the block's min interval: columns
-    /// live for every interval run mask-free, and only the fringe between
-    /// `min(ts)` and `max(ts)` pays for neutralizing dead elements with an
-    /// all-ones/all-zeros mask instead of a branch.  The wrapped `tⱼ − d`
-    /// garbage a dead element feeds the reciprocal is harmless
-    /// (multiply-based division cannot fault) because the term is masked
-    /// to zero before accumulation.
-    #[inline]
-    fn dbf_block_narrow(&self, ts: [u32; INTERVAL_BLOCK]) -> [u128; INTERVAL_BLOCK] {
-        let t_max = ts[0].max(ts[1]).max(ts[2]).max(ts[3]);
-        let t_min = ts[0].min(ts[1]).min(ts[2]).min(ts[3]);
-        let cut = self.n_deadline.partition_point(|&d| d <= t_max);
-        // Columns with `deadline ≤ min(ts)` contribute to *every* interval
-        // of the block: the bulk of a dense ascending sweep, evaluated
-        // mask-free (each column load amortized over the whole block).
-        let shared = self.n_deadline[..cut].partition_point(|&d| d <= t_min);
-        let mut acc = [0u128; INTERVAL_BLOCK];
-        for ((&d, &w), &r) in self.n_deadline[..shared]
-            .iter()
-            .zip(&self.n_wcet[..shared])
-            .zip(&self.n_rcp[..shared])
-        {
-            let w = u64::from(w);
-            for j in 0..INTERVAL_BLOCK {
-                acc[j] += u128::from(w * (r.divide(ts[j] - d) + 1));
-            }
-        }
-        // The fringe `min(ts) < deadline ≤ max(ts)` is live for only some
-        // of the intervals; those terms are neutralized by an
-        // all-ones/all-zeros mask instead of a branch.
-        for ((&d, &w), &r) in self.n_deadline[shared..cut]
-            .iter()
-            .zip(&self.n_wcet[shared..cut])
-            .zip(&self.n_rcp[shared..cut])
-        {
-            let w = u64::from(w);
-            for j in 0..INTERVAL_BLOCK {
-                let mask = u64::from(d <= ts[j]).wrapping_neg();
-                let jobs = r.divide(ts[j].wrapping_sub(d)) + 1;
-                acc[j] += u128::from((w * jobs) & mask);
-            }
-        }
-        acc
     }
 
     /// The demand contribution of one component at `interval`, gathered
@@ -705,7 +346,7 @@ impl DemandKernel {
             if deadline > t {
                 return Time::ZERO;
             }
-            let jobs = self.p_rcp[index].divide(t - deadline) + 1;
+            let jobs = self.p_rcp[index].divide(t - deadline).saturating_add(1);
             Time::new(self.p_wcet[index].saturating_mul(jobs))
         } else if self.o_deadline[index] > t {
             Time::ZERO
@@ -1355,14 +996,26 @@ mod tests {
     #[test]
     fn dbf_saturates_like_the_scalar_fold() {
         let big = 1u64 << 63;
-        let components = vec![
+        let huge_costs = vec![
             DemandComponent::periodic(Time::new(big), Time::ONE, Time::new(big)),
             DemandComponent::one_shot(Time::new(big), Time::ONE, Time::ZERO),
             DemandComponent::one_shot(Time::new(big), Time::ONE, Time::ZERO),
         ];
-        let kernel = kernel_of(&components);
-        assert_eq!(kernel.dbf(Time::MAX), Time::MAX);
-        assert_eq!(kernel.dbf(Time::MAX), scalar_dbf(&components, Time::MAX));
+        // Period 1 from deadline 0: 2^64 jobs are due by Time::MAX.
+        let huge_job_count = vec![DemandComponent::periodic(Time::ONE, Time::ZERO, Time::ONE)];
+        for components in [huge_costs, huge_job_count] {
+            let kernel = kernel_of(&components);
+            assert_eq!(kernel.dbf(Time::MAX), Time::MAX);
+            assert_eq!(kernel.dbf(Time::MAX), scalar_dbf(&components, Time::MAX));
+            assert_eq!(kernel.demand_and_predecessor(Time::MAX).0, Time::MAX);
+            for (idx, component) in components.iter().enumerate() {
+                assert_eq!(
+                    kernel.component_demand(idx, Time::MAX),
+                    component.dbf(Time::MAX),
+                    "component {idx}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1501,72 +1154,12 @@ mod tests {
 
     const ABOVE_32: u64 = u32::MAX as u64 + 5;
 
-    #[test]
-    fn small_columns_build_narrow_and_wide_columns_do_not() {
-        let kernel = kernel_of(&sample_components());
-        assert!(kernel.narrow_timing_fits);
-        assert!(kernel.narrow);
-        assert_eq!(kernel.n_deadline.len(), kernel.p_deadline.len());
-        let wide_period = vec![DemandComponent::periodic(
-            Time::new(1),
-            Time::new(10),
-            Time::new(ABOVE_32),
-        )];
-        let kernel = kernel_of(&wide_period);
-        assert!(!kernel.narrow_timing_fits);
-        assert!(!kernel.narrow);
-        let wide_wcet = vec![DemandComponent::periodic(
-            Time::new(ABOVE_32),
-            Time::new(10),
-            Time::new(u32::MAX as u64),
-        )];
-        let kernel = kernel_of(&wide_wcet);
-        assert!(kernel.narrow_timing_fits, "timing still fits");
-        assert!(!kernel.narrow, "cost column does not");
-    }
-
-    /// Columns straddling `u32::MAX` (narrow-ineligible) and intervals on
-    /// both sides of the narrow gate still match the scalar folds.
-    #[test]
-    fn straddling_columns_match_scalar_folds() {
-        let components = vec![
-            DemandComponent::periodic(Time::new(2), Time::new(20), Time::new(40)),
-            DemandComponent::periodic(Time::new(3), Time::new(ABOVE_32), Time::new(ABOVE_32 + 7)),
-            DemandComponent::periodic(Time::new(ABOVE_32), Time::new(9), Time::new(ABOVE_32 * 2)),
-            DemandComponent::one_shot(Time::new(5), Time::new(ABOVE_32 + 1), Time::ZERO),
-        ];
-        let kernel = kernel_of(&components);
-        assert!(!kernel.narrow);
-        let probes = [
-            0,
-            19,
-            20,
-            u32::MAX as u64,
-            ABOVE_32,
-            ABOVE_32 + 1,
-            ABOVE_32 * 3 + 11,
-        ];
-        for &i in &probes {
-            let i = Time::new(i);
-            assert_eq!(kernel.dbf(i), scalar_dbf(&components, i), "dbf at {i}");
-            assert_eq!(
-                kernel.last_deadline_below(i),
-                scalar_last_below(&components, i),
-                "predecessor at {i}"
-            );
-            let (demand, predecessor) = kernel.demand_and_predecessor(i);
-            assert_eq!(demand, kernel.dbf(i));
-            assert_eq!(predecessor, kernel.last_deadline_below(i));
-        }
-    }
-
-    /// Narrow columns queried above the `u32` interval gate fall back to
-    /// the wide loops and stay exact.
+    /// Small columns (every value fits `u32`) probed at intervals at and
+    /// beyond `u32::MAX` match the scalar folds.
     #[test]
     fn narrow_columns_with_wide_intervals_match_scalar_folds() {
         let components = sample_components();
         let kernel = kernel_of(&components);
-        assert!(kernel.narrow);
         for &i in &[u32::MAX as u64, ABOVE_32, ABOVE_32 + 13] {
             let i = Time::new(i);
             assert_eq!(kernel.dbf(i), scalar_dbf(&components, i), "dbf at {i}");
@@ -1578,61 +1171,71 @@ mod tests {
         }
     }
 
-    /// A wide WCET write demotes the kernel in place (queries correct with
-    /// no refresh); shrinking the cost back and refreshing promotes it.
+    /// Columns straddling `u32::MAX`, and small columns probed at huge
+    /// intervals, still match the scalar folds on both sides of it.
     #[test]
-    fn wcet_rewrites_demote_and_promote_the_narrow_column() {
+    fn straddling_columns_match_scalar_folds() {
+        let straddling = vec![
+            DemandComponent::periodic(Time::new(2), Time::new(20), Time::new(40)),
+            DemandComponent::periodic(Time::new(3), Time::new(ABOVE_32), Time::new(ABOVE_32 + 7)),
+            DemandComponent::periodic(Time::new(ABOVE_32), Time::new(9), Time::new(ABOVE_32 * 2)),
+            DemandComponent::one_shot(Time::new(5), Time::new(ABOVE_32 + 1), Time::ZERO),
+        ];
+        let probes = [
+            0,
+            19,
+            20,
+            u32::MAX as u64,
+            ABOVE_32,
+            ABOVE_32 + 1,
+            ABOVE_32 + 13,
+            ABOVE_32 * 3 + 11,
+        ];
+        for components in [straddling, sample_components()] {
+            let kernel = kernel_of(&components);
+            for &i in &probes {
+                let i = Time::new(i);
+                assert_eq!(kernel.dbf(i), scalar_dbf(&components, i), "dbf at {i}");
+                assert_eq!(
+                    kernel.last_deadline_below(i),
+                    scalar_last_below(&components, i),
+                    "predecessor at {i}"
+                );
+                let (demand, predecessor) = kernel.demand_and_predecessor(i);
+                assert_eq!(demand, kernel.dbf(i));
+                assert_eq!(predecessor, kernel.last_deadline_below(i));
+            }
+        }
+    }
+
+    /// A cost rewritten above `u32::MAX` and back again is tracked by
+    /// every query, with and without the post-rewrite refresh.
+    #[test]
+    fn wcet_rewrites_track_scalar_folds() {
         let components = sample_components();
         let mut updated = components.clone();
         let mut kernel = kernel_of(&components);
-        assert!(kernel.narrow);
         updated[0].set_wcet(Time::new(ABOVE_32));
         kernel.set_wcet(0, Time::new(ABOVE_32));
-        assert!(!kernel.narrow, "wide cost demotes");
         for i in (0..100).chain([ABOVE_32 - 1, ABOVE_32 + 50]) {
             let i = Time::new(i);
-            assert_eq!(kernel.dbf(i), scalar_dbf(&updated, i), "demoted dbf at {i}");
+            assert_eq!(
+                kernel.dbf(i),
+                scalar_dbf(&updated, i),
+                "wide-cost dbf at {i}"
+            );
         }
         kernel.refresh_after_rewrite();
-        assert!(
-            !kernel.narrow,
-            "refresh cannot promote while the cost is wide"
-        );
         updated[0].set_wcet(Time::new(7));
         kernel.set_wcet(0, Time::new(7));
         kernel.refresh_after_rewrite();
-        assert!(kernel.narrow, "fitting costs promote on refresh");
         for i in 0..100 {
             let i = Time::new(i);
             assert_eq!(
                 kernel.dbf(i),
                 scalar_dbf(&updated, i),
-                "promoted dbf at {i}"
+                "restored-cost dbf at {i}"
             );
-        }
-    }
-
-    #[test]
-    fn dbf_many_equals_repeated_dbf() {
-        let components = sample_components();
-        let kernel = kernel_of(&components);
-        // 0..=200 exercises full blocks + remainder; the mixed list makes
-        // single blocks straddle the narrow interval gate.
-        let dense: Vec<Time> = (0..=200).map(Time::new).collect();
-        let mixed: Vec<Time> = vec![
-            Time::new(3),
-            Time::new(ABOVE_32),
-            Time::new(150),
-            Time::new(u32::MAX as u64),
-            Time::new(40),
-            Time::new(0),
-            Time::new(77),
-        ];
-        let mut out = Vec::new();
-        for probes in [dense, mixed] {
-            kernel.dbf_many(&probes, &mut out);
-            let expected: Vec<Time> = probes.iter().map(|&i| kernel.dbf(i)).collect();
-            assert_eq!(out, expected);
         }
     }
 

@@ -89,13 +89,6 @@ impl FeasibilityTest for QpaTest {
         // columns (the former code paid a second full scan and discarded
         // the already-computed demand); on ordinary descending steps —
         // the overwhelmingly common case — only the demand is evaluated.
-        //
-        // Note on `PreparedWorkload::dbf_many`: the descent is a strict
-        // sequential dependence chain — `t_{k+1} = dbf(t_k)` — so there is
-        // never a second outstanding interval to batch with; the fused
-        // plateau query above *is* the batched form of this loop (two
-        // quantities per column pass), and speculatively evaluating
-        // candidate intervals would change the recorded iteration count.
         let mut on_plateau = false;
         let analysis = loop {
             // One work unit per descent step; the descent certifies

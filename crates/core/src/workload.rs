@@ -216,7 +216,9 @@ impl DemandComponent {
         match self.period {
             None => self.wcet,
             Some(period) => {
-                let jobs = (interval - self.deadline).div_floor(period) + 1;
+                let jobs = (interval - self.deadline)
+                    .div_floor(period)
+                    .saturating_add(1);
                 self.wcet.saturating_mul(jobs)
             }
         }
@@ -1126,21 +1128,6 @@ impl PreparedWorkload {
                 .fold(Time::ZERO, |acc, c| acc.saturating_add(c.dbf(interval)));
         }
         self.kernel().dbf(interval)
-    }
-
-    /// Batched demand bound function: fills `out` with `dbf(interval)`
-    /// for every entry of `intervals`, in order — bit-identical to calling
-    /// [`PreparedWorkload::dbf`] once per interval, but evaluated
-    /// column-major in interval blocks so every kernel column load is
-    /// shared across the block (see [`DemandKernel::dbf_many`]).  `out` is
-    /// cleared first; callers reuse the buffer across batches.
-    pub fn dbf_many(&self, intervals: &[Time], out: &mut Vec<Time>) {
-        if self.scalar_demand {
-            out.clear();
-            out.extend(intervals.iter().map(|&interval| self.dbf(interval)));
-            return;
-        }
-        self.kernel().dbf_many(intervals, out);
     }
 
     /// The demand of a single component at `interval` — the refining

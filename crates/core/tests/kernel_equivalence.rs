@@ -66,18 +66,23 @@ fn arb_curve_task() -> impl Strategy<Value = ArrivalCurveTask> {
     )
 }
 
-/// Largest narrow-column value: the `u32` narrowing/promotion boundary.
+/// `u32::MAX`: the boundary the straddle family crosses.
 const NEAR_32: u64 = u32::MAX as u64;
 
-/// A parameter value either well inside the narrow (`u32`) range or
-/// straddling its upper boundary.
+/// A parameter value either small, straddling `u32::MAX`, or just below
+/// `u64::MAX`.
 fn arb_straddle_value() -> impl Strategy<Value = u64> {
-    prop_oneof![1u64..=120, (NEAR_32 - 40)..=(NEAR_32 + 40)]
+    prop_oneof![
+        1u64..=120,
+        (NEAR_32 - 40)..=(NEAR_32 + 40),
+        (u64::MAX - 40)..=u64::MAX,
+    ]
 }
 
 /// Raw component lists whose deadlines, periods and costs straddle
-/// `u32::MAX` in every combination — the narrowing gate's boundary family
-/// (generator-backed workload models never reach these magnitudes).
+/// `u32::MAX` or approach `u64::MAX` in every combination — magnitudes the generator-backed
+/// workload models never reach, where a per-term product or job count no
+/// longer fits 32 bits.
 fn arb_straddle_components() -> impl Strategy<Value = Vec<DemandComponent>> {
     prop::collection::vec(
         (
@@ -109,18 +114,29 @@ fn arb_straddle_components() -> impl Strategy<Value = Vec<DemandComponent>> {
     })
 }
 
-/// Probe intervals for the straddle family: a dense low range, the
-/// `u32::MAX` neighbourhood (both sides of the narrow interval gate), and
-/// the neighbourhood of every component deadline and first period step.
+/// Probe intervals for the straddle family: a dense low range, both sides
+/// of `u32::MAX`, the top of the time axis, and the neighbourhood of every
+/// component deadline and first period step.
 fn straddle_probes(prepared: &PreparedWorkload) -> Vec<Time> {
     let mut probes: Vec<u64> = (0..=64).collect();
     probes.extend([NEAR_32 - 1, NEAR_32, NEAR_32 + 1, 2 * NEAR_32 + 17]);
+    probes.extend([u64::MAX - 1, u64::MAX]);
     for component in prepared.components() {
         let d = component.first_deadline().as_u64();
-        probes.extend([d.saturating_sub(1), d, d + 1, d.saturating_add(NEAR_32)]);
+        probes.extend([
+            d.saturating_sub(1),
+            d,
+            d.saturating_add(1),
+            d.saturating_add(NEAR_32),
+        ]);
         if let Some(p) = component.period() {
-            let p = p.as_u64();
-            probes.extend([d + p - 1, d + p, d + p + 1, d.saturating_add(3 * p)]);
+            let step = d.saturating_add(p.as_u64());
+            probes.extend([
+                step - 1,
+                step,
+                step.saturating_add(1),
+                d.saturating_add(p.as_u64().saturating_mul(3)),
+            ]);
         }
     }
     probes.into_iter().map(Time::new).collect()
@@ -149,8 +165,7 @@ fn arb_transaction_system() -> impl Strategy<Value = TransactionSystem> {
 
 /// Runs every registered test on the kernel-backed preparation and on the
 /// scalar-reference oracle, asserting bit-identical analyses (verdict,
-/// iteration count, max examined interval, overload witness), plus
-/// batched-vs-repeated `dbf` equality on both paths.
+/// iteration count, max examined interval, overload witness).
 fn assert_kernel_equals_scalar<W: Workload + ?Sized>(workload: &W) {
     let kernel = PreparedWorkload::new(workload);
     let scalar = kernel.scalar_reference();
@@ -162,25 +177,6 @@ fn assert_kernel_equals_scalar<W: Workload + ?Sized>(workload: &W) {
             test.name()
         );
     }
-    assert_dbf_many_equals_repeated(&kernel, &scalar);
-}
-
-/// Asserts `dbf_many` (column-major interval blocks) bit-identical to
-/// one-interval-at-a-time evaluation, on the kernel path and the scalar
-/// oracle alike, over a dense probe range.
-fn assert_dbf_many_equals_repeated(kernel: &PreparedWorkload, scalar: &PreparedWorkload) {
-    let horizon = kernel
-        .analysis_horizon()
-        .unwrap_or(Time::new(200))
-        .min(Time::new(300));
-    // +2 past the horizon leaves a non-full remainder block.
-    let probes: Vec<Time> = (0..=horizon.as_u64() + 2).map(Time::new).collect();
-    let repeated: Vec<Time> = probes.iter().map(|&i| scalar.dbf(i)).collect();
-    let mut batched = Vec::new();
-    kernel.dbf_many(&probes, &mut batched);
-    assert_eq!(batched, repeated, "kernel dbf_many vs repeated scalar dbf");
-    scalar.dbf_many(&probes, &mut batched);
-    assert_eq!(batched, repeated, "scalar dbf_many vs repeated scalar dbf");
 }
 
 /// Asserts the kernel primitives equal the scalar folds over a dense
@@ -345,11 +341,10 @@ proptest! {
         }
     }
 
-    /// Columns straddling the `u32` narrowing boundary: every combination
-    /// of narrow/wide deadlines, periods and costs answers every primitive
-    /// — `dbf`, `last_deadline_below`, the fused QPA step, batched
-    /// `dbf_many` — bit-identically to the scalar oracle, on probe
-    /// intervals on both sides of the narrow interval gate.
+    /// Columns straddling `u32::MAX`: every combination of small and
+    /// large deadlines, periods and costs answers every primitive —
+    /// `dbf`, `last_deadline_below`, the fused QPA step — bit-identically
+    /// to the scalar oracle, on probe intervals on both sides of it.
     #[test]
     fn straddling_u32_columns_match_scalar(components in arb_straddle_components()) {
         let prepared = PreparedWorkload::from_components(components);
@@ -370,17 +365,12 @@ proptest! {
                 "combined predecessor at {}", i
             );
         }
-        let repeated: Vec<Time> = probes.iter().map(|&i| scalar.dbf(i)).collect();
-        let mut batched = Vec::new();
-        prepared.dbf_many(&probes, &mut batched);
-        prop_assert_eq!(batched, repeated);
     }
 
-    /// Mid-`ScaledView` narrow demotion and promotion: probing a
-    /// wide-period component's cost across the `u32::MAX` boundary — above
-    /// (the kernel demotes to the wide columns in place), back below (the
-    /// probe-boundary refresh re-narrows) — always equals a cold
-    /// preparation of the same components, full analyses included.
+    /// Mid-`ScaledView` cost rewrites across `u32::MAX`: probing a
+    /// large-period component's cost above that boundary and back below
+    /// it always equals a cold preparation of the same components, full
+    /// analyses included.
     #[test]
     fn narrow_promotion_mid_scaled_view_matches_cold(
         ts in arb_set(),
@@ -398,7 +388,7 @@ proptest! {
         ));
         let wide_idx = components.len() - 1;
         let base = PreparedWorkload::from_components(components.clone());
-        // Touch the kernel so every probe rewrites live narrow columns.
+        // Touch the kernel so every probe rewrites live columns.
         let _ = base.dbf(Time::new(1));
         let mut view = ScaledView::new(&base);
         let suite = all_tests();
@@ -425,7 +415,7 @@ proptest! {
                 prop_assert_eq!(
                     test.analyze_prepared(probed),
                     test.analyze_prepared(&cold),
-                    "{} diverges between demoted/promoted view and cold preparation",
+                    "{} diverges between rewritten view and cold preparation",
                     test.name()
                 );
             }

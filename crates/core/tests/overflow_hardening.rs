@@ -111,6 +111,25 @@ fn lone_saturated_component_is_feasible_and_queryable_at_time_max() {
 }
 
 #[test]
+fn demand_stays_monotone_when_the_job_count_reaches_u64_max() {
+    // D = 0, T = 1: at Time::MAX the job count is 2^64, one past u64::MAX.
+    // It must saturate (demand Time::MAX), not wrap to zero jobs below the
+    // Time::MAX - 1 answer of u64::MAX.
+    let component = DemandComponent::periodic(Time::ONE, Time::ZERO, Time::ONE);
+    assert_eq!(component.dbf(Time::MAX), Time::MAX);
+    let prepared = PreparedWorkload::from_components(vec![component]);
+    let oracle = prepared.scalar_reference();
+    for workload in [&prepared, &oracle] {
+        assert_eq!(workload.dbf(Time::new(u64::MAX - 1)), Time::MAX);
+        assert_eq!(workload.dbf(Time::MAX), Time::MAX);
+        assert_eq!(
+            workload.demand_and_predecessor(Time::MAX),
+            (Time::MAX, Some(Time::new(u64::MAX - 1)))
+        );
+    }
+}
+
+#[test]
 fn tiny_utilization_with_huge_coprime_periods_is_decided_without_a_bound() {
     // Density is minuscule but the hyperperiod overflows: the sufficient
     // tests must still accept from the utilization/density side alone.
