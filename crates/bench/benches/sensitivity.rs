@@ -1,8 +1,8 @@
 //! Benchmark of the incremental sensitivity engine
 //! (`edf_analysis::incremental` + `edf_analysis::sensitivity`): breakdown
 //! scaling and WCET slack searches, incremental (one `ScaledView`, costs
-//! rewritten in place, bounds refreshed from cached invariants and
-//! estimate-seeded searches) versus the from-scratch reference (full
+//! rewritten in place, analysis horizon refreshed from cached invariants
+//! and an estimate-seeded search) versus the from-scratch reference (full
 //! re-preparation with cold bound searches per probe — the
 //! pre-incremental behaviour, see `sensitivity::reference`).  Both
 //! variants run identical probe sequences and produce bit-identical

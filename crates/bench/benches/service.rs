@@ -1,6 +1,6 @@
 //! Benchmark of the `edf-serve` admission-control service: the cost of one
 //! admission decision through the [`EditView`] delta path (structural
-//! edit, deadline-order repair, in-place kernel rebuild, bounds refresh)
+//! edit, deadline-order repair, in-place kernel rebuild, horizon refresh)
 //! versus a cold re-preparation of the edited component list, and the
 //! budgeted anytime lane.
 //!
@@ -38,7 +38,7 @@ fn probe() -> DemandComponent {
 /// deadlines and periods (total utilization `n`/2048 ≪ 1).  The exact
 /// analysis decides such high-slack systems quickly, so the request cost
 /// is dominated by preparation — the regime where the delta path's reuse
-/// of the committed sort/bounds/kernel state matters most.
+/// of the committed sort/horizon/kernel state matters most.
 fn light_tenant(n: u64) -> Vec<DemandComponent> {
     (0..n)
         .map(|index| {

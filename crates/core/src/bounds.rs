@@ -30,19 +30,33 @@
 //! All bounds are rounded **up** to the next integer so that using them as
 //! a search horizon can never cut off a violating deadline.
 //!
-//! For search loops that re-derive the bounds of the *same* workload under
-//! WCET perturbations (breakdown scaling, slack probing — see
-//! [`crate::sensitivity`]), [`BoundRefresher`] caches the scale-invariant
-//! half of the computation (the hyperperiod bound is WCET-free; Baruah's
-//! `max(T − D)` aggregate, George's degeneracy and the applicability flags
-//! are structural) and seeds the remaining binary searches with the
-//! previous probe's results, while staying bit-identical to the cold
-//! [`FeasibilityBounds::for_components`] computation.
+//! # The analysis horizon
+//!
+//! The exact tests read one number from this module: the tightest bound.
+//! Two of the five bounds can never be it.  George is never above Baruah
+//! (Baruah's inequality is George's with every per-component slack raised
+//! to `max(T − D)`) and never above the superposition bound
+//! `max(Dmax, George)`.  [`horizon_components`] therefore computes only
+//! `min(George, hyperperiod, busy period)`, and it stops the busy-period
+//! fix-point as soon as an iterate reaches the smaller of the other two:
+//! the iterates never decrease, so the busy period cannot be the minimum
+//! from then on.  The full [`FeasibilityBounds`] (every bound, uncut) is
+//! built only on request, for reports and for the equivalence tests.
+//!
+//! Search loops that re-derive the horizon of a workload after small
+//! changes (breakdown scaling and slack probing in [`crate::sensitivity`],
+//! candidate swaps, structural edits of an admission service) keep a
+//! [`BoundRefresher`]: it caches the structural half of the computation
+//! (the hyperperiod bound, George's degeneracy and the applicability flags
+//! depend only on the timing parameters) and seeds the George search with
+//! the previous probe's result, while staying bit-identical to the cold
+//! computation.
 //!
 //! # Examples
 //!
 //! ```
 //! use edf_analysis::bounds;
+//! use edf_analysis::workload::Workload;
 //! use edf_model::{Task, TaskSet, Time};
 //!
 //! # fn main() -> Result<(), edf_model::TaskError> {
@@ -52,6 +66,10 @@
 //! ]);
 //! let all = bounds::FeasibilityBounds::compute(&ts);
 //! assert!(all.analysis_horizon().is_some());
+//! assert_eq!(
+//!     bounds::horizon_components(&ts.demand_components()),
+//!     all.analysis_horizon()
+//! );
 //! # Ok(())
 //! # }
 //! ```
@@ -95,7 +113,8 @@ impl FeasibilityBounds {
         FeasibilityBounds::for_components(&task_set.demand_components())
     }
 
-    /// Computes every bound for an arbitrary component decomposition.
+    /// Computes every bound for an arbitrary component decomposition.  Use
+    /// [`horizon_components`] when only the tightest bound is needed.
     #[must_use]
     pub fn for_components(components: &[DemandComponent]) -> Self {
         BoundRefresher::new(components).refresh(components)
@@ -136,27 +155,41 @@ impl FeasibilityBounds {
     }
 }
 
-/// The scale-invariant half of the §4.3 bound computation, cached once so a
-/// sensitivity search can re-derive the bounds of a WCET-perturbed
-/// component list in (near) linear time instead of from cold.
+/// The tightest feasibility bound of `components`, equal to
+/// `FeasibilityBounds::for_components(components).analysis_horizon()` but
+/// computed without the dominated Baruah and superposition bounds and with
+/// the busy-period fix-point stopped once it cannot be the minimum (see
+/// the [module documentation](self)).
+#[must_use]
+pub fn horizon_components(components: &[DemandComponent]) -> Option<Time> {
+    BoundRefresher::new(components).horizon(components, components_exceed_one(components))
+}
+
+/// The structural half of the §4.3 bound computation, cached once so a
+/// search loop can re-derive the analysis horizon (or, through
+/// [`BoundRefresher::refresh`], every bound) of a perturbed component list
+/// in (near) linear time instead of from cold.
 ///
 /// Under any pure WCET change (uniform breakdown scaling, a single-component
 /// slack probe) the periods, deadlines and offsets of a workload do not
 /// move, and with them a surprising amount of the bound machinery is fixed:
-/// the hyperperiod bound is WCET-free, Baruah's `max(Tᵢ − Dᵢ)` aggregate,
-/// George's degeneracy test and the `Dmax` term of the superposition bound
-/// depend only on the timing parameters, and the applicability of the busy
-/// period argument is structural.  [`BoundRefresher::new`] computes all of
-/// that once; [`BoundRefresher::refresh`] then rebuilds a full
-/// [`FeasibilityBounds`] for a re-costed component list, seeding the two
-/// remaining binary searches with the previous probe's results (galloping
-/// brackets), so consecutive probes of a search loop typically pay a
+/// the hyperperiod bound is WCET-free, George's degeneracy test and the
+/// `Dmax` term of the superposition bound depend only on the timing
+/// parameters, and the applicability of the busy period argument is
+/// structural.  [`BoundRefresher::new`] computes all of that once; the
+/// crate's views then refresh only the analysis horizon per probe (the
+/// hint-seeded George search plus the cut busy-period fix-point), while
+/// [`BoundRefresher::refresh`] rebuilds a full [`FeasibilityBounds`] for a
+/// re-costed component list.  The searches gallop out from the previous
+/// probe's results, so consecutive probes of a search loop typically pay a
 /// handful of predicate evaluations instead of the cold 62-step searches.
 ///
-/// `refresh` is **exact**: for every component list it returns bit-identical
-/// values to [`FeasibilityBounds::for_components`] (which is, in fact,
-/// implemented on top of it).  The contract is that the refreshed list
-/// differs from the one given to `new` only in the component WCETs.
+/// Every refresh is **exact**: `refresh` returns bit-identical values to
+/// [`FeasibilityBounds::for_components`] (which is, in fact, implemented
+/// on top of it), and the horizon refreshes equal its
+/// [`analysis_horizon`](FeasibilityBounds::analysis_horizon).  The
+/// contract of `refresh` is that the refreshed list differs from the one
+/// given to `new` only in the component WCETs.
 ///
 /// # Examples
 ///
@@ -182,9 +215,6 @@ impl FeasibilityBounds {
 #[derive(Debug, Clone)]
 pub struct BoundRefresher {
     component_count: usize,
-    /// Baruah's `max(Tᵢ − Dᵢ)`; `None` when the bound is structurally
-    /// inapplicable (empty list, one-shot component, or zero difference).
-    baruah_max_diff: Option<Time>,
     /// `true` when every component is periodic with `D′ ≥ T` (the George
     /// bound then degenerates to the smallest deadline).
     george_degenerate: bool,
@@ -197,7 +227,7 @@ pub struct BoundRefresher {
     hyperperiod: Option<Time>,
     /// `lcm` of the periods (`None` when empty, one-shot components are
     /// present, or the lcm overflows) — invariant even under **deadline**
-    /// perturbations, so [`BoundRefresher::refresh_retimed`] re-derives the
+    /// perturbations, so [`BoundRefresher::horizon_retimed`] re-derives the
     /// hyperperiod bound without re-running the lcm chain.
     period_lcm: Option<Time>,
     /// One precomputed period reciprocal per component (one-shots get the
@@ -210,11 +240,10 @@ pub struct BoundRefresher {
 
 /// The timing-dependent (deadline/offset) aggregates of the §4.3 bound
 /// machinery — the half that stays fixed under WCET perturbations but
-/// moves under re-phasing.  One shared constructor serves both
-/// [`BoundRefresher::new`] and [`BoundRefresher::refresh_retimed`], so the
+/// moves under re-phasing.  One shared constructor serves
+/// [`BoundRefresher::new`] and the retimed and edited refreshes, so the
 /// per-aggregate rules cannot drift apart.
 struct TimingAggregates {
-    baruah_max_diff: Option<Time>,
     george_degenerate: bool,
     min_first_deadline: Option<Time>,
     max_first_deadline: Option<Time>,
@@ -223,21 +252,7 @@ struct TimingAggregates {
 
 impl TimingAggregates {
     fn of(components: &[DemandComponent]) -> Self {
-        let any_one_shot = components.iter().any(|c| c.period().is_none());
-        let baruah_max_diff = if components.is_empty() || any_one_shot {
-            None
-        } else {
-            let max_diff = components.iter().fold(Time::ZERO, |acc, c| {
-                acc.max(
-                    c.period()
-                        .expect("checked periodic above")
-                        .saturating_sub(c.first_deadline()),
-                )
-            });
-            (!max_diff.is_zero()).then_some(max_diff)
-        };
         TimingAggregates {
-            baruah_max_diff,
             george_degenerate: components.iter().all(|c| match c.period() {
                 Some(period) => c.first_deadline() >= period,
                 None => false,
@@ -261,7 +276,6 @@ impl BoundRefresher {
         let hyperperiod = hyperperiod_from(period_lcm, timing.max_first_deadline);
         BoundRefresher {
             component_count: components.len(),
-            baruah_max_diff: timing.baruah_max_diff,
             george_degenerate: timing.george_degenerate,
             min_first_deadline: timing.min_first_deadline,
             max_first_deadline: timing.max_first_deadline,
@@ -277,7 +291,17 @@ impl BoundRefresher {
         }
     }
 
-    /// Recomputes every bound for a copy of the component list given to
+    /// Installs freshly derived timing aggregates (and with them the
+    /// `max D'` half of the hyperperiod bound).
+    fn set_timing(&mut self, timing: &TimingAggregates) {
+        self.george_degenerate = timing.george_degenerate;
+        self.min_first_deadline = timing.min_first_deadline;
+        self.max_first_deadline = timing.max_first_deadline;
+        self.busy_applicable = timing.busy_applicable;
+        self.hyperperiod = hyperperiod_from(self.period_lcm, timing.max_first_deadline);
+    }
+
+    /// The analysis horizon of a copy of the component list given to
     /// [`BoundRefresher::new`] whose **timing parameters** (offsets, hence
     /// first deadlines) moved but whose periods and component count did not
     /// — the candidate-swap contract of
@@ -287,77 +311,45 @@ impl BoundRefresher {
     /// The deadline-dependent aggregates ([`TimingAggregates`], plus the
     /// `max D'` half of the hyperperiod bound) are re-derived in one linear
     /// pass; the period-only state (the lcm chain behind the hyperperiod
-    /// bound, the per-component reciprocals feeding every search predicate)
-    /// is reused, and the remaining searches run hint-seeded exactly as in
-    /// [`BoundRefresher::refresh`].  The result is bit-identical to
-    /// [`FeasibilityBounds::for_components`] on the same list.
-    ///
-    /// `exceeds_one` is the caller's (exact) `U > 1` verdict — invariant
-    /// under re-phasing, so candidate sweeps compute it once.
-    pub(crate) fn refresh_retimed(
+    /// bound, the per-component reciprocals feeding the George search) is
+    /// reused.  `exceeds_one` is the caller's (exact) `U > 1` verdict —
+    /// invariant under re-phasing, so candidate sweeps compute it once.
+    pub(crate) fn horizon_retimed(
         &mut self,
         components: &[DemandComponent],
         exceeds_one: bool,
-    ) -> FeasibilityBounds {
-        self.refresh_retimed_budgeted(components, exceeds_one, &mut WorkBudget::unlimited())
-    }
-
-    /// [`BoundRefresher::refresh_retimed`] metered against a caller's
-    /// [`WorkBudget`] — see
-    /// [`refresh_with_utilization_budgeted`](Self::refresh_with_utilization_budgeted)
-    /// for the charging contract (the refreshed bounds never depend on the
-    /// budget; only the charges recorded do).
-    pub(crate) fn refresh_retimed_budgeted(
-        &mut self,
-        components: &[DemandComponent],
-        exceeds_one: bool,
-        budget: &mut WorkBudget,
-    ) -> FeasibilityBounds {
+    ) -> Option<Time> {
         debug_assert_eq!(self.component_count, components.len());
-        let timing = TimingAggregates::of(components);
-        self.baruah_max_diff = timing.baruah_max_diff;
-        self.george_degenerate = timing.george_degenerate;
-        self.min_first_deadline = timing.min_first_deadline;
-        self.max_first_deadline = timing.max_first_deadline;
-        self.busy_applicable = timing.busy_applicable;
-        self.hyperperiod = hyperperiod_from(self.period_lcm, timing.max_first_deadline);
-        self.refresh_with_utilization_budgeted(components, exceeds_one, budget)
+        self.set_timing(&TimingAggregates::of(components));
+        self.horizon(components, exceeds_one)
     }
 
-    /// Recomputes every bound after a **structural edit** — components
+    /// The analysis horizon after a **structural edit** — components
     /// inserted, removed or replaced wholesale, the contract of
     /// [`EditView`](crate::incremental::EditView).  Nothing captured by
     /// [`BoundRefresher::new`] is guaranteed to survive such an edit, so
     /// every aggregate (count, timing, the period-lcm chain behind the
     /// hyperperiod bound) is re-derived in one linear pass; only the
-    /// search **hints** carry over — they merely seed the galloping
-    /// bracket, so the refreshed bounds stay exact while consecutive
-    /// edits of a live system (whose bounds barely move) converge in a
-    /// handful of predicate evaluations.  `reciprocals` is the caller's
-    /// maintained per-component reciprocal cache (see
+    /// search **hint** carries over — it merely seeds the galloping
+    /// bracket, so the horizon stays exact while consecutive edits of a
+    /// live system (whose bounds barely move) converge in a handful of
+    /// predicate evaluations.  `reciprocals` is the caller's maintained
+    /// per-component reciprocal cache (see
     /// [`EditView`](crate::incremental::EditView)), copied instead of
-    /// re-deriving one 128-bit division per component.  The result is
-    /// bit-identical to [`FeasibilityBounds::for_components`] on the same
-    /// list.
-    pub(crate) fn refresh_edited(
+    /// re-deriving one 128-bit division per component.
+    pub(crate) fn horizon_edited(
         &mut self,
         components: &[DemandComponent],
         exceeds_one: bool,
         reciprocals: &[Reciprocal],
-    ) -> FeasibilityBounds {
+    ) -> Option<Time> {
         debug_assert_eq!(components.len(), reciprocals.len());
-        let timing = TimingAggregates::of(components);
         self.component_count = components.len();
-        self.baruah_max_diff = timing.baruah_max_diff;
-        self.george_degenerate = timing.george_degenerate;
-        self.min_first_deadline = timing.min_first_deadline;
-        self.max_first_deadline = timing.max_first_deadline;
-        self.busy_applicable = timing.busy_applicable;
         self.period_lcm = period_lcm(components);
-        self.hyperperiod = hyperperiod_from(self.period_lcm, timing.max_first_deadline);
+        self.set_timing(&TimingAggregates::of(components));
         self.reciprocals.clear();
         self.reciprocals.extend_from_slice(reciprocals);
-        self.refresh_with_utilization(components, exceeds_one)
+        self.horizon(components, exceeds_one)
     }
 
     /// Recomputes every bound for a WCET-perturbed copy of the component
@@ -370,66 +362,25 @@ impl BoundRefresher {
     /// list the refresher was built from.
     #[must_use]
     pub fn refresh(&mut self, components: &[DemandComponent]) -> FeasibilityBounds {
-        self.refresh_with_utilization(components, components_exceed_one(components))
-    }
-
-    /// [`BoundRefresher::refresh`] for callers that already know whether
-    /// the (exact) utilization exceeds one, sparing the rational check.
-    pub(crate) fn refresh_with_utilization(
-        &mut self,
-        components: &[DemandComponent],
-        exceeds_one: bool,
-    ) -> FeasibilityBounds {
-        self.refresh_with_utilization_budgeted(
-            components,
-            exceeds_one,
-            &mut WorkBudget::unlimited(),
-        )
-    }
-
-    /// [`refresh_with_utilization`](Self::refresh_with_utilization) with
-    /// the searches metered against a caller's [`WorkBudget`]: every
-    /// search-predicate evaluation and every busy-period fix-point
-    /// iteration charges one work unit.  A search in flight always runs to
-    /// completion (a bound must be exact or absent, never truncated), so
-    /// the returned bounds are bit-identical regardless of the budget;
-    /// callers abort to an honest `Unknown` *after* the refresh when
-    /// [`WorkBudget::is_exhausted`] reports the overdraft.
-    pub(crate) fn refresh_with_utilization_budgeted(
-        &mut self,
-        components: &[DemandComponent],
-        exceeds_one: bool,
-        budget: &mut WorkBudget,
-    ) -> FeasibilityBounds {
         debug_assert!(
             self.invariants_match(components),
             "refreshed component list must differ from the prepared one only in WCETs"
         );
-        let utilization_bounds_apply = !components.is_empty() && !exceeds_one;
-        let baruah = if utilization_bounds_apply {
-            self.refresh_baruah(components, budget)
+        let utilization_bounds_apply = !components.is_empty() && !components_exceed_one(components);
+        let (baruah, george) = if utilization_bounds_apply {
+            (
+                self.refresh_baruah(components),
+                self.refresh_george(components),
+            )
         } else {
-            None
-        };
-        let george = if utilization_bounds_apply {
-            self.refresh_george(components, budget)
-        } else {
-            None
+            (None, None)
         };
         let superposition = match (george, self.max_first_deadline) {
             (Some(g), Some(dmax)) => Some(g.max(dmax)),
             _ => None,
         };
-        // The fix-point runs to completion under its own convergence
-        // cut-off and only *charges* its iterations to the caller's
-        // budget afterwards: views cache refreshed bounds across requests,
-        // so a budget-dependent bound here would leak one request's
-        // exhaustion into another's verdict.
         let busy_period = if self.busy_applicable {
-            let mut meter = WorkBudget::unlimited();
-            let bound = busy_period_fixpoint_with(components, &mut meter);
-            let _ = budget.charge(meter.spent());
-            bound
+            busy_period_fixpoint(components, None, &mut WorkBudget::unlimited())
         } else {
             None
         };
@@ -442,6 +393,45 @@ impl BoundRefresher {
         }
     }
 
+    /// The analysis horizon of a WCET-perturbed copy of the component list
+    /// given to [`BoundRefresher::new`] (the contract of
+    /// [`BoundRefresher::refresh`]): `min(George, hyperperiod, busy
+    /// period)`, with the fix-point cut at the smaller of the first two.
+    /// `exceeds_one` is the caller's (exact) `U > 1` verdict.
+    pub(crate) fn horizon(
+        &mut self,
+        components: &[DemandComponent],
+        exceeds_one: bool,
+    ) -> Option<Time> {
+        debug_assert!(
+            self.invariants_match(components),
+            "refreshed component list must differ from the prepared one only in WCETs"
+        );
+        if exceeds_one {
+            // George is undefined, and `rbf(L) ≥ U·L > L` for every
+            // `L ≥ 1`, so the fix-point can only stop where its start `Σ C`
+            // already saturates at `Time::MAX` (`rbf(MAX)` saturates too).
+            let saturated = self.busy_applicable
+                && components
+                    .iter()
+                    .fold(Time::ZERO, |acc, c| acc.saturating_add(c.wcet()))
+                    == Time::MAX;
+            return min_bound(self.hyperperiod, saturated.then_some(Time::MAX));
+        }
+        let george = if components.is_empty() {
+            None
+        } else {
+            self.refresh_george(components)
+        };
+        let best = min_bound(george, self.hyperperiod);
+        let busy_period = if self.busy_applicable {
+            busy_period_fixpoint(components, best, &mut WorkBudget::unlimited())
+        } else {
+            None
+        };
+        min_bound(best, busy_period)
+    }
+
     /// Debug-build contract check: re-derives every cached aggregate and
     /// compares, catching callers that changed timing parameters (periods,
     /// deadlines, offsets) between `new` and `refresh` — a violation that
@@ -450,7 +440,6 @@ impl BoundRefresher {
     fn invariants_match(&self, components: &[DemandComponent]) -> bool {
         let fresh = BoundRefresher::new(components);
         fresh.component_count == self.component_count
-            && fresh.baruah_max_diff == self.baruah_max_diff
             && fresh.george_degenerate == self.george_degenerate
             && fresh.min_first_deadline == self.min_first_deadline
             && fresh.max_first_deadline == self.max_first_deadline
@@ -458,12 +447,8 @@ impl BoundRefresher {
             && fresh.hyperperiod == self.hyperperiod
     }
 
-    fn refresh_baruah(
-        &mut self,
-        components: &[DemandComponent],
-        budget: &mut WorkBudget,
-    ) -> Option<Time> {
-        let max_diff = self.baruah_max_diff?;
+    fn refresh_baruah(&mut self, components: &[DemandComponent]) -> Option<Time> {
+        let max_diff = baruah_max_diff(components)?;
         // Floating-point prediction of `U/(1−U)·max_diff` as the search
         // seed: the galloping bracket makes the result exact no matter how
         // far off the estimate is, but an estimate within a few ulps turns
@@ -473,10 +458,7 @@ impl BoundRefresher {
         let hint = hint_from_estimate(estimate).or(self.baruah_hint);
         let reciprocals = &self.reciprocals;
         let result = smallest_satisfying_hinted(
-            |l| {
-                let _ = budget.charge(1);
-                baruah_predicate_rcp(components, reciprocals, max_diff, l)
-            },
+            |l| baruah_predicate_rcp(components, reciprocals, max_diff, l),
             hint,
         );
         if result.is_some() {
@@ -485,11 +467,7 @@ impl BoundRefresher {
         result
     }
 
-    fn refresh_george(
-        &mut self,
-        components: &[DemandComponent],
-        budget: &mut WorkBudget,
-    ) -> Option<Time> {
+    fn refresh_george(&mut self, components: &[DemandComponent]) -> Option<Time> {
         if self.george_degenerate {
             // The numerator is zero: any positive horizon works; report the
             // smallest deadline so the caller has a non-trivial bound.
@@ -514,18 +492,33 @@ impl BoundRefresher {
         }
         let hint = hint_from_estimate(numerator / (1.0 - utilization)).or(self.george_hint);
         let reciprocals = &self.reciprocals;
-        let result = smallest_satisfying_hinted(
-            |l| {
-                let _ = budget.charge(1);
-                george_predicate_rcp(components, reciprocals, l)
-            },
-            hint,
-        );
+        let result =
+            smallest_satisfying_hinted(|l| george_predicate_rcp(components, reciprocals, l), hint);
         if result.is_some() {
             self.george_hint = result;
         }
         result
     }
+}
+
+/// The smaller of two optional bounds (an absent bound never wins).
+fn min_bound(a: Option<Time>, b: Option<Time>) -> Option<Time> {
+    a.into_iter().chain(b).min()
+}
+
+/// Baruah's `max(Tᵢ − Dᵢ)` aggregate; `None` when the bound is
+/// inapplicable (empty list, a one-shot component, or a zero difference,
+/// in which case the bound degenerates).
+fn baruah_max_diff(components: &[DemandComponent]) -> Option<Time> {
+    let mut max_diff = Time::ZERO;
+    for component in components {
+        max_diff = max_diff.max(
+            component
+                .period()?
+                .saturating_sub(component.first_deadline()),
+        );
+    }
+    (!max_diff.is_zero()).then_some(max_diff)
 }
 
 /// `lcm` of the component periods — the WCET- **and** deadline-invariant
@@ -634,16 +627,21 @@ fn george_predicate_rcp(
     )
 }
 
-/// The busy-period fix-point iteration metered against a caller's [`WorkBudget`]:
-/// every fix-point iteration charges one work unit.  The historical
-/// non-convergence cut-off is itself a second, internal budget of
-/// [`BUSY_PERIOD_CONVERGENCE_UNITS`], so overloaded sets are cut off
+/// The busy-period fix-point iteration metered against a caller's
+/// [`WorkBudget`]: every fix-point iteration charges one work unit.  The
+/// historical non-convergence cut-off is itself a second, internal budget
+/// of [`BUSY_PERIOD_CONVERGENCE_UNITS`], so overloaded sets are cut off
 /// identically whether or not the caller's budget is limited.  Returns
 /// `None` on overload, divergence, or caller-budget exhaustion — callers
 /// that need to tell exhaustion apart inspect
 /// [`WorkBudget::is_exhausted`] afterwards.
-fn busy_period_fixpoint_with(
+///
+/// With a `cut`, the iteration also stops (returning `None`) as soon as an
+/// iterate reaches it: the iterates never decrease and the busy period is
+/// at least every iterate, so it is then no smaller than `cut`.
+fn busy_period_fixpoint(
     components: &[DemandComponent],
+    cut: Option<Time>,
     budget: &mut WorkBudget,
 ) -> Option<Time> {
     let mut convergence = WorkBudget::limited(BUSY_PERIOD_CONVERGENCE_UNITS);
@@ -651,6 +649,9 @@ fn busy_period_fixpoint_with(
         .iter()
         .fold(Time::ZERO, |acc, c| acc.saturating_add(c.wcet()));
     loop {
+        if cut.is_some_and(|cut| length >= cut) {
+            return None;
+        }
         if !convergence.charge(1) || !budget.charge(1) {
             return None;
         }
@@ -781,14 +782,7 @@ pub fn baruah_components(components: &[DemandComponent]) -> Option<Time> {
     if components.is_empty() || components_exceed_one(components) {
         return None;
     }
-    let mut max_diff = Time::ZERO;
-    for component in components {
-        let period = component.period()?; // one-shot: bound not applicable
-        max_diff = max_diff.max(period.saturating_sub(component.first_deadline()));
-    }
-    if max_diff.is_zero() {
-        return None;
-    }
+    let max_diff = baruah_max_diff(components)?;
     smallest_satisfying(|l| baruah_predicate(components, max_diff, l))
 }
 
@@ -860,7 +854,7 @@ pub fn busy_period_components_with(
     {
         return None;
     }
-    busy_period_fixpoint_with(components, budget)
+    busy_period_fixpoint(components, None, budget)
 }
 
 /// `lcm(Tᵢ) + max Dᵢ`: a bound that is always valid (violations of the
@@ -944,7 +938,9 @@ mod tests {
 
     #[test]
     fn george_never_exceeds_baruah() {
-        // Known analytic relation for constrained-deadline sets.
+        // Known analytic relations for constrained-deadline sets; the
+        // horizon computation drops Baruah and superposition because of
+        // them.
         let sets = vec![
             constrained_set(),
             TaskSet::from_tasks(vec![t(1, 3, 8), t(2, 5, 12), t(3, 9, 30), t(1, 2, 5)]),
@@ -953,8 +949,36 @@ mod tests {
         for ts in sets {
             let g = george_bound(&ts).unwrap();
             let b = baruah_bound(&ts).unwrap();
+            let s = superposition_bound(&ts).unwrap();
             assert!(g <= b, "George {g} must be <= Baruah {b}");
+            assert!(g <= s, "George {g} must be <= superposition {s}");
         }
+    }
+
+    #[test]
+    fn horizon_keeps_the_busy_period_when_it_is_tightest() {
+        // constrained_set: busy period 9, George 10, Baruah 20.
+        let components = constrained_set().demand_components();
+        assert_eq!(horizon_components(&components), Some(Time::new(9)));
+    }
+
+    #[test]
+    fn horizon_of_a_saturated_overload_matches_the_full_bounds() {
+        // U = 2 with Σ C saturating at Time::MAX: the uncut fix-point
+        // "converges" at its start, so the full horizon is Time::MAX.
+        let components = vec![
+            DemandComponent::periodic(Time::MAX, Time::MAX, Time::MAX),
+            DemandComponent::periodic(Time::MAX, Time::MAX, Time::MAX),
+        ];
+        let full = FeasibilityBounds::for_components(&components);
+        assert_eq!(full.busy_period, Some(Time::MAX));
+        assert_eq!(horizon_components(&components), full.analysis_horizon());
+        // An overload that does not saturate has only the hyperperiod.
+        let components = TaskSet::from_tasks(vec![t(5, 5, 5), t(1, 10, 10)]).demand_components();
+        assert_eq!(
+            horizon_components(&components),
+            hyperperiod_components(&components)
+        );
     }
 
     #[test]
@@ -1195,9 +1219,11 @@ mod tests {
                     c
                 })
                 .collect();
+            let cold = FeasibilityBounds::for_components(&scaled);
+            assert_eq!(refresher.refresh(&scaled), cold, "scaling {numer}/{denom}");
             assert_eq!(
-                refresher.refresh(&scaled),
-                FeasibilityBounds::for_components(&scaled),
+                refresher.horizon(&scaled, components_exceed_one(&scaled)),
+                cold.analysis_horizon(),
                 "scaling {numer}/{denom}"
             );
         }
@@ -1231,8 +1257,8 @@ mod tests {
     #[test]
     fn retimed_refresh_matches_cold_bounds_across_deadline_perturbations() {
         // The candidate-swap contract: costs and periods fixed, offsets and
-        // first deadlines move.  The retimed refresh must stay bit-identical
-        // to a cold computation for every re-phasing.
+        // first deadlines move.  The retimed horizon must equal the cold
+        // full-bounds minimum for every re-phasing.
         let base = vec![
             DemandComponent::periodic_from(Time::new(2), Time::new(4), Time::new(10), Time::ZERO),
             DemandComponent::periodic_from(Time::new(3), Time::new(6), Time::new(15), Time::new(2)),
@@ -1260,8 +1286,8 @@ mod tests {
                 })
                 .collect();
             assert_eq!(
-                refresher.refresh_retimed(&retimed, exceeds),
-                FeasibilityBounds::for_components(&retimed),
+                refresher.horizon_retimed(&retimed, exceeds),
+                FeasibilityBounds::for_components(&retimed).analysis_horizon(),
                 "offsets {offsets:?}"
             );
         }

@@ -133,7 +133,9 @@ pub fn next_deadline_after(task: &Task, interval: Time) -> Option<Time> {
     if interval < task.deadline() {
         return Some(task.deadline());
     }
-    let k = (interval - task.deadline()).div_floor(task.period()) + 1;
+    let k = (interval - task.deadline())
+        .div_floor(task.period())
+        .checked_add(1)?;
     task.period().checked_mul(k)?.checked_add(task.deadline())
 }
 

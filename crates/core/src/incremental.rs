@@ -15,11 +15,13 @@
 //! * the **deadline order** — periods, deadlines and offsets do not move
 //!   under WCET changes, so the sorted order computed once for the base
 //!   workload is seeded into the view and shared by every probe;
-//! * the **scale-invariant half of the §4.3 feasibility bounds** — the
+//! * the **scale-invariant half of the §4.3 analysis horizon** — the
 //!   hyperperiod bound is WCET-free and the structural aggregates of the
-//!   Baruah/George/busy-period bounds are fixed, so a
-//!   [`BoundRefresher`] re-derives the bounds from cached aggregates and
-//!   hint-seeded searches instead of from cold (see [`crate::bounds`]).
+//!   George and busy-period bounds are fixed, so a [`BoundRefresher`]
+//!   re-derives the horizon from cached aggregates and a hint-seeded
+//!   search instead of from cold (see [`crate::bounds`]).  Views keep
+//!   only the horizon; the full bounds of
+//!   [`PreparedWorkload::bounds`] are computed cold, on request.
 //!
 //! [`ScaledView`] packages all three behind two probe operations:
 //! [`ScaledView::scale_wcets`] (uniform scaling — breakdown searches) and
@@ -38,9 +40,9 @@
 //!
 //! | view | may mutate | repair path | refresh cost |
 //! |------|-----------|-------------|--------------|
-//! | [`ScaledView`] | WCETs only | column rewrite + hinted bound refresh | `O(n)` + a few bound predicates |
-//! | [`CandidateView`](crate::candidates::CandidateView) | one transaction's offsets/deadlines | merge-of-sorted-runs order repair, in-place kernel rebuild | `O(n)` |
-//! | [`EditView`] | the component **set** (insert/remove/replace) | per-edit binary order repair, full aggregate + kernel refresh at finalize | `O(log n)` per edit + `O(n)` per finalize |
+//! | [`ScaledView`] | WCETs only | column rewrite + hinted horizon refresh | `O(n)` + a few George predicates + the cut busy-period fix-point |
+//! | [`CandidateView`](crate::candidates::CandidateView) | one transaction's offsets/deadlines | merge-of-sorted-runs order repair, in-place kernel rebuild, hinted horizon refresh | `O(n)` + the horizon refresh |
+//! | [`EditView`] | the component **set** (insert/remove/replace) | per-edit binary order repair, full aggregate + kernel + horizon refresh at finalize | `O(log n)` per edit + `O(n)` + the horizon refresh per finalize |
 //!
 //! All three implement [`WorkloadView`] — finalize to a
 //! [`&PreparedWorkload`](PreparedWorkload), dirty-tracking, revert — so
@@ -100,7 +102,7 @@ use crate::workload::{components_exceed_one, DemandComponent, PreparedWorkload};
 /// `candidate_equivalence` and `edit_equivalence`).
 pub trait WorkloadView {
     /// Applies any pending mutations (order repair, kernel rebuild,
-    /// bound refresh) and returns the finalized prepared state.
+    /// horizon refresh) and returns the finalized prepared state.
     fn finalize(&mut self) -> &PreparedWorkload;
 
     /// `true` while mutations are pending that [`WorkloadView::finalize`]
@@ -226,21 +228,15 @@ impl<'a> ScaledView<'a> {
     }
 
     /// Recomputes the cost-dependent aggregates of the scratch workload in
-    /// one linear pass plus the hint-seeded bound refresh.  When the probe
-    /// pushes the utilization above one the bounds are skipped entirely
-    /// (no test reads them behind the trivial `U > 1` rejection) and left
-    /// to the lazy cold path should anyone ask.
+    /// one linear pass plus the hint-seeded horizon refresh (a linear
+    /// hyperperiod lookup when the probe pushes the utilization above one).
     fn refresh(&mut self) -> &PreparedWorkload {
         let components = self.scratch.components();
         let utilization = components.iter().map(DemandComponent::utilization).sum();
         let exceeds_one = components_exceed_one(components);
-        let bounds = if exceeds_one {
-            None
-        } else {
-            Some(self.refresher.refresh_with_utilization(components, false))
-        };
+        let horizon = self.refresher.horizon(components, exceeds_one);
         self.scratch
-            .install_refreshed_state(utilization, exceeds_one, bounds);
+            .install_refreshed_state(utilization, exceeds_one, horizon);
         &self.scratch
     }
 }
@@ -309,15 +305,16 @@ enum EditOp {
 /// * the **kernel columns** are rebuilt in place into their existing
 ///   allocations
 ///   ([`DemandKernel::rebuild_with_reciprocals`](crate::kernel::DemandKernel));
-/// * the **§4.3 bounds** are re-derived by the crate-internal
-///   `BoundRefresher::refresh_edited` — one linear aggregate pass plus
-///   hint-seeded searches, the hints carried across edits;
+/// * the **§4.3 analysis horizon** is re-derived by the crate-internal
+///   `BoundRefresher::horizon_edited` — one linear aggregate pass, the
+///   hint-seeded George search (the hint carried across edits) and the
+///   busy-period fix-point, stopped once it cannot be the minimum;
 /// * shrinking edits (remove/replace) **reuse the column capacity** —
 ///   debug assertions pin that an admit/evict cycle never churns the
 ///   allocator (the `recycled`-style buffer-reuse contract).
 ///
 /// Repair is *lazy*: edits only patch the component vector and the order,
-/// and the aggregate/kernel/bound refresh runs once inside
+/// and the aggregate/kernel/horizon refresh runs once inside
 /// [`EditView::prepared`] (or [`WorkloadView::finalize`]), so a burst of
 /// edits pays for one refresh.  The finalized state is **bit-identical**
 /// to a cold [`PreparedWorkload`] of the same component list
@@ -374,7 +371,7 @@ pub struct EditView {
     /// (metadata only — no analysis reads it).
     task_count: usize,
     /// `true` while the scratch's derived state (aggregates, order,
-    /// kernel, bounds) lags behind the component vector.
+    /// kernel, horizon) lags behind the component vector.
     dirty: bool,
     /// Inverses of the edits since the last [`EditView::commit`], newest
     /// last.
@@ -495,7 +492,7 @@ impl EditView {
 
     /// The prepared state of the current component list, applying any
     /// pending repair (aggregate recomputation, order hand-back, in-place
-    /// kernel rebuild, hinted bound refresh).  Observably identical to a
+    /// kernel rebuild, hinted horizon refresh).  Observably identical to a
     /// cold [`PreparedWorkload`] of the same components.
     ///
     /// # Panics
@@ -579,23 +576,22 @@ impl EditView {
     /// Recomputes the cost-and-structure-dependent aggregates and installs
     /// them with the maintained order (one summation pass in component
     /// order for `f64` bit-identity with a cold preparation, one exact
-    /// `U > 1` pass, the structural bound refresh, the in-place kernel
+    /// `U > 1` pass, the structural horizon refresh, the in-place kernel
     /// rebuild).
     fn refresh(&mut self) {
         let components = self.scratch.components();
         let utilization = components.iter().map(DemandComponent::utilization).sum();
         let exceeds_one = components_exceed_one(components);
-        let bounds = (!exceeds_one).then(|| {
-            self.refresher
-                .refresh_edited(components, false, &self.reciprocals)
-        });
+        let horizon = self
+            .refresher
+            .horizon_edited(components, exceeds_one, &self.reciprocals);
         let order = std::mem::take(&mut self.order);
         self.scratch.install_edited_state(
             self.task_count,
             utilization,
             exceeds_one,
             order,
-            bounds,
+            horizon,
             &self.reciprocals,
         );
         self.dirty = false;
@@ -701,6 +697,7 @@ mod tests {
         );
         assert_eq!(view.demand_is_exact(), cold.demand_is_exact());
         assert_eq!(view.utilization_is_exact(), cold.utilization_is_exact());
+        assert_eq!(view.analysis_horizon(), cold.bounds().analysis_horizon());
         assert_eq!(view.bounds(), cold.bounds());
         assert_eq!(view.deadline_order(), cold.deadline_order());
         for test in [

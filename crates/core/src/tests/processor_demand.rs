@@ -88,11 +88,10 @@ impl ProcessorDemandTest {
     }
 
     fn horizon(&self, workload: &PreparedWorkload, budget: &mut WorkBudget) -> Option<Time> {
-        // A specific selection computes only that bound; the cached
-        // all-bounds struct is reserved for `Tightest` (where every bound
-        // is needed anyway and sharing across tests pays off).  The busy
-        // period is the one live fix-point here, so it is the one bound
-        // metered against the work budget.
+        // A specific selection computes only that bound; `Tightest` reads
+        // the preparation's cached analysis horizon (shared across tests).
+        // The busy period is the one live fix-point here, so it is the one
+        // bound metered against the work budget.
         let components = workload.components();
         match self.bound {
             BoundSelection::Tightest => workload.analysis_horizon(),

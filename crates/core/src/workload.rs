@@ -59,7 +59,7 @@ use edf_model::{
 };
 
 use crate::arith::{fracs_le_integer_iter, Reciprocal};
-use crate::bounds::FeasibilityBounds;
+use crate::bounds::{horizon_components, FeasibilityBounds};
 use crate::kernel::{merge_pop, AnalysisScratch, DemandKernel, DemandSteps, MergeState};
 
 /// The elementary demand generator behind every supported task model.
@@ -253,7 +253,9 @@ impl DemandComponent {
             return Some(self.deadline);
         }
         let period = self.period?;
-        let k = (interval - self.deadline).div_floor(period) + 1;
+        let k = (interval - self.deadline)
+            .div_floor(period)
+            .checked_add(1)?;
         period.checked_mul(k)?.checked_add(self.deadline)
     }
 
@@ -929,14 +931,18 @@ impl Workload for MixedSystem {
 }
 
 /// A [`Workload`] snapshot with all per-suite state computed once: the
-/// component decomposition, the exact `U > 1` comparison, the feasibility
-/// bounds of §4.3 and the deadline ordering.
+/// component decomposition, the exact `U > 1` comparison, the §4.3
+/// analysis horizon and the deadline ordering.
 ///
-/// Preparing is cheap (linear in the number of components; the bounds are
-/// computed lazily on first use) and pays off as soon as a workload is
-/// analyzed by more than one test — which is what every experiment in the
-/// paper does.  `PreparedWorkload` is `Sync`, so one prepared instance can
-/// be shared by the parallel batch front end ([`crate::batch`]).
+/// Preparing is cheap (linear in the number of components) and pays off as
+/// soon as a workload is analyzed by more than one test — which is what
+/// every experiment in the paper does.  The analysis horizon is computed
+/// lazily on first use, or installed by the incremental views, which keep
+/// only the horizon.  The full set of §4.3 bounds
+/// ([`PreparedWorkload::bounds`]) is computed lazily and cold, only when a
+/// report asks for it.  `PreparedWorkload` is `Sync`, so one prepared
+/// instance can be shared by the parallel batch front end
+/// ([`crate::batch`]).
 #[derive(Debug)]
 pub struct PreparedWorkload {
     components: Vec<DemandComponent>,
@@ -946,6 +952,8 @@ pub struct PreparedWorkload {
     demand_exact: bool,
     utilization_exact: bool,
     bounds: OnceLock<FeasibilityBounds>,
+    /// The tightest §4.3 bound (see [`PreparedWorkload::analysis_horizon`]).
+    horizon: OnceLock<Option<Time>>,
     deadline_order: OnceLock<Vec<usize>>,
     /// The columnar demand kernel (built lazily on the first demand
     /// query; see [`crate::kernel`]).
@@ -995,6 +1003,7 @@ impl PreparedWorkload {
             demand_exact,
             utilization_exact,
             bounds: OnceLock::new(),
+            horizon: OnceLock::new(),
             deadline_order: OnceLock::new(),
             kernel: OnceLock::new(),
             scalar_demand: false,
@@ -1022,6 +1031,7 @@ impl PreparedWorkload {
         self.exceeds_one = components_exceed_one(&self.components);
         self.scalar_demand = false;
         self.bounds.take();
+        self.horizon.take();
         // The previous workload's cached order and kernel are stale either
         // way; rebuild them into their existing allocations only when a
         // demand query can actually run (every test rejects `U > 1`
@@ -1174,7 +1184,10 @@ impl PreparedWorkload {
             .fold(Time::ZERO, |acc, c| acc.saturating_add(c.rbf(interval)))
     }
 
-    /// The feasibility bounds of §4.3, computed on first use and cached.
+    /// Every feasibility bound of §4.3, computed cold on first use and
+    /// cached — for reports that show the bounds side by side.  The tests
+    /// read only [`PreparedWorkload::analysis_horizon`], which never builds
+    /// this.
     pub fn bounds(&self) -> &FeasibilityBounds {
         self.bounds
             .get_or_init(|| FeasibilityBounds::for_components(&self.components))
@@ -1190,11 +1203,17 @@ impl PreparedWorkload {
             .get_or_init(|| FeasibilityBounds::for_components_cold(&self.components));
     }
 
-    /// The tightest cached feasibility bound (see
-    /// [`FeasibilityBounds::analysis_horizon`]).
+    /// The tightest feasibility bound (equal to
+    /// [`FeasibilityBounds::analysis_horizon`] of
+    /// [`PreparedWorkload::bounds`]), cached on first use: from the full
+    /// bounds when they are already cached, otherwise through
+    /// [`horizon_components`], which skips the dominated bounds.
     #[must_use]
     pub fn analysis_horizon(&self) -> Option<Time> {
-        self.bounds().analysis_horizon()
+        *self.horizon.get_or_init(|| match self.bounds.get() {
+            Some(bounds) => bounds.analysis_horizon(),
+            None => horizon_components(&self.components),
+        })
     }
 
     /// Smallest first deadline over all components.
@@ -1344,25 +1363,20 @@ impl PreparedWorkload {
     }
 
     /// Installs the aggregates matching the current (mutated) component
-    /// list: utilization, the exact `U > 1` comparison and — when already
-    /// computed by the caller — the feasibility bounds.  Passing `None`
-    /// for `bounds` leaves the lazy [`OnceLock`] empty, so a later
-    /// [`PreparedWorkload::bounds`] call falls back to the cold
-    /// computation (used when a probe's utilization already exceeds one
-    /// and no test will read the bounds).  The deadline order is left
-    /// untouched: it only depends on the scale-invariant first deadlines.
+    /// list: utilization, the exact `U > 1` comparison and the analysis
+    /// horizon computed by the caller.  The cached full bounds are dropped
+    /// (a later [`PreparedWorkload::bounds`] call recomputes them cold).
+    /// The deadline order is left untouched: it only depends on the
+    /// scale-invariant first deadlines.
     pub(crate) fn install_refreshed_state(
         &mut self,
         utilization: f64,
         exceeds_one: bool,
-        bounds: Option<FeasibilityBounds>,
+        horizon: Option<Time>,
     ) {
         self.utilization = utilization;
         self.exceeds_one = exceeds_one;
-        self.bounds.take();
-        if let Some(bounds) = bounds {
-            let _ = self.bounds.set(bounds);
-        }
+        self.install_horizon(horizon);
         if let Some(kernel) = self.kernel.get_mut() {
             kernel.refresh_after_rewrite();
         }
@@ -1382,7 +1396,7 @@ impl PreparedWorkload {
     /// only the timing (offset/first deadline) may move, which keeps the
     /// cached utilization and the exact `U > 1` comparison valid — and must
     /// call [`PreparedWorkload::install_retimed_state`] before the next
-    /// demand query (the deadline order, kernel columns and bounds are
+    /// demand query (the deadline order, kernel columns and horizon are
     /// stale until then).
     pub(crate) fn write_component_at(&mut self, index: usize, component: DemandComponent) {
         debug_assert_eq!(self.components[index].wcet(), component.wcet());
@@ -1402,16 +1416,15 @@ impl PreparedWorkload {
     /// `order` must be the stable ascending-first-deadline index order of
     /// the components, the kernel columns are rebuilt from it into their
     /// existing allocations (re-using `reciprocals` — the per-component
-    /// period reciprocals, invariant under re-timing — when the caller
-    /// provides them), and the §4.3 bounds are replaced (`None` leaves the
-    /// lazy cold path to answer a later [`PreparedWorkload::bounds`]
-    /// call).  Utilization and the `U > 1` comparison are untouched —
-    /// re-phasing never moves a cost or period.
+    /// period reciprocals, invariant under re-timing), and the analysis
+    /// horizon is replaced (the cached full bounds are dropped).
+    /// Utilization and the `U > 1` comparison are untouched — re-phasing
+    /// never moves a cost or period.
     pub(crate) fn install_retimed_state(
         &mut self,
         order: Vec<usize>,
-        bounds: Option<FeasibilityBounds>,
-        reciprocals: Option<&[crate::arith::Reciprocal]>,
+        horizon: Option<Time>,
+        reciprocals: &[crate::arith::Reciprocal],
     ) {
         debug_assert!(order.len() == self.components.len());
         debug_assert!(order.windows(2).all(|w| {
@@ -1420,17 +1433,19 @@ impl PreparedWorkload {
                 || (a.first_deadline() == b.first_deadline() && w[0] < w[1])
         }));
         let mut kernel = self.kernel.take().unwrap_or_default();
-        match reciprocals {
-            Some(cache) => kernel.rebuild_with_reciprocals(&self.components, &order, cache),
-            None => kernel.rebuild(&self.components, &order),
-        }
+        kernel.rebuild_with_reciprocals(&self.components, &order, reciprocals);
         let _ = self.kernel.set(kernel);
         self.deadline_order.take();
         let _ = self.deadline_order.set(order);
+        self.install_horizon(horizon);
+    }
+
+    /// Replaces the cached analysis horizon and drops the cached full
+    /// bounds, which no longer match the mutated components.
+    fn install_horizon(&mut self, horizon: Option<Time>) {
         self.bounds.take();
-        if let Some(bounds) = bounds {
-            let _ = self.bounds.set(bounds);
-        }
+        self.horizon.take();
+        let _ = self.horizon.set(horizon);
     }
 
     /// Allocated capacity of the component column (crate-internal: the
@@ -1443,7 +1458,7 @@ impl PreparedWorkload {
     /// Inserts `component` at `index`, shifting the suffix up
     /// (crate-internal: the [`EditView`](crate::incremental::EditView)
     /// structural-edit path).  Every derived state — utilization, the
-    /// `U > 1` comparison, order, kernel, bounds — is stale afterwards;
+    /// `U > 1` comparison, order, kernel, horizon — is stale afterwards;
     /// the caller must install it via
     /// [`PreparedWorkload::install_edited_state`] before the next query.
     pub(crate) fn insert_component_at(&mut self, index: usize, component: DemandComponent) {
@@ -1498,16 +1513,15 @@ impl PreparedWorkload {
     /// layout moved), plus the task count.  `order` must be the stable
     /// ascending-`(first deadline, index)` order of the components; the
     /// kernel columns are rebuilt from it into their existing allocations
-    /// re-using the caller's per-component period `reciprocals`; `None`
-    /// bounds leave the lazy cold path to answer a later
-    /// [`PreparedWorkload::bounds`] call.
+    /// re-using the caller's per-component period `reciprocals`, and the
+    /// caller's analysis horizon replaces the cached one.
     pub(crate) fn install_edited_state(
         &mut self,
         task_count: usize,
         utilization: f64,
         exceeds_one: bool,
         order: Vec<usize>,
-        bounds: Option<FeasibilityBounds>,
+        horizon: Option<Time>,
         reciprocals: &[crate::arith::Reciprocal],
     ) {
         debug_assert_eq!(order.len(), self.components.len());
@@ -1524,10 +1538,7 @@ impl PreparedWorkload {
         let _ = self.kernel.set(kernel);
         self.deadline_order.take();
         let _ = self.deadline_order.set(order);
-        self.bounds.take();
-        if let Some(bounds) = bounds {
-            let _ = self.bounds.set(bounds);
-        }
+        self.install_horizon(horizon);
     }
 }
 

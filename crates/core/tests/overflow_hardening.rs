@@ -130,6 +130,18 @@ fn demand_stays_monotone_when_the_job_count_reaches_u64_max() {
 }
 
 #[test]
+fn next_deadline_after_time_max_is_none_when_the_job_count_overflows() {
+    // D = 0, T = 1: the job after Time::MAX would be number 2^64, so there
+    // is no representable next deadline.
+    let component = DemandComponent::periodic(Time::ONE, Time::ZERO, Time::ONE);
+    assert_eq!(component.next_deadline_after(Time::MAX), None);
+    assert_eq!(
+        component.next_deadline_after(Time::new(u64::MAX - 1)),
+        Some(Time::MAX)
+    );
+}
+
+#[test]
 fn tiny_utilization_with_huge_coprime_periods_is_decided_without_a_bound() {
     // Density is minuscule but the hyperperiod overflows: the sufficient
     // tests must still accept from the utilization/density side alone.

@@ -34,8 +34,9 @@
 //! * [`analysis::incremental`] — the incremental sensitivity engine:
 //!   [`ScaledView`] probes WCET perturbations of one prepared workload
 //!   without re-preparation (in-place cost rewrites, shared deadline
-//!   order, refreshed §4.3 bounds), behind the breakdown-scaling and
-//!   WCET-slack searches and the batch [`sensitivity_sweep`];
+//!   order, refreshed §4.3 analysis horizon), behind the
+//!   breakdown-scaling and WCET-slack searches and the batch
+//!   [`sensitivity_sweep`];
 //! * [`analysis::transactions`] — exact critical-instant-candidate
 //!   analysis of offset-transaction systems;
 //! * [`serve`] (`edf-serve`) — the online admission-control service:
